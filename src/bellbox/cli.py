@@ -470,6 +470,8 @@ def _cmd_sample(args: argparse.Namespace, doc: document.ModelDocument) -> str:
         )
     if args.trials < 1:
         raise _CliInputError("--trials must be at least 1")
+    if not 0 <= args.seed < 2**64:
+        raise _CliInputError("--seed must lie in [0, 2**64)")
     scenario = model.scenario
     schedule = _parse_schedule(args.schedule, scenario)
     plan = sampler.ExperimentPlan(args.seed, args.trials, schedule)
@@ -517,3 +519,7 @@ def _cmd_sample(args: argparse.Namespace, doc: document.ModelDocument) -> str:
     else:
         lines.append("(deviation reported only when every context is sampled)")
     return "\n".join(lines) + "\n"
+
+
+if __name__ == "__main__":
+    main()

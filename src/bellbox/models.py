@@ -143,6 +143,15 @@ def _check_causes(causes: Sequence[Cause], where: str) -> None:
                 f"{where}: cause weights sum to {total}, expected 1",
                 code="MODEL_INVALID",
             )
+    elif not math.isfinite(total):
+        bad = [
+            c.id
+            for c in causes
+            if not is_exact(c.weight) and not math.isfinite(c.weight)
+        ]
+        raise ModelError(
+            f"{where}: non-finite weight for cause(s) {bad}", code="MODEL_INVALID"
+        )
     elif abs(total - 1) > FLOAT_ATOL:
         raise ModelError(
             f"{where}: cause weights sum to {total!r}, expected 1",
@@ -179,6 +188,12 @@ def _check_response_row(
                 f"{cause_id!r} sums to {total}",
                 code="MODEL_INVALID",
             )
+    elif not math.isfinite(total):
+        raise ModelError(
+            f"{where}: {response.party} row for setting {setting}, cause "
+            f"{cause_id!r} has a non-finite probability: {row!r}",
+            code="MODEL_INVALID",
+        )
     elif abs(total - 1) > FLOAT_ATOL:
         raise ModelError(
             f"{where}: {response.party} row for setting {setting}, cause "

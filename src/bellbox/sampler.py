@@ -22,14 +22,18 @@ double precision.  Draw indices: 0 selects the context (uniform schedule),
 1 the cause, 2 Alice's outcome, 3 Bob's outcome.
 
 Sampling is inverse-CDF over causes and outcomes in declaration order;
-zero-weight entries are pruned first so cumulative sums are strictly
-increasing and ties are impossible.
+zero-weight entries are pruned first so exact cumulative sums are strictly
+increasing and ties are impossible.  Inverse-CDF comparisons are exact,
+because ``u < c`` holds exactly when ``(word >> 11) < ceil(c * 2**53)``,
+for rational and float cumulative weights ``c`` alike.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import SamplerError
@@ -40,14 +44,16 @@ _MASK64 = (1 << 64) - 1
 _K0 = 0x9E3779B97F4A7C15
 _K1 = 0xD1B54A32D192ED03
 _K2 = 0x8CB92BA72F3D8DD7
+_C1 = 0xBF58476D1CE4E5B9
+_C2 = 0x94D049BB133111EB
 
 TRIAL_HEADER = "trial,alice_setting,bob_setting,cause,a,b"
 
 
 def _mix64(x: int) -> int:
     x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = ((x ^ (x >> 30)) * _C1) & _MASK64
+    x = ((x ^ (x >> 27)) * _C2) & _MASK64
     return x ^ (x >> 31)
 
 
@@ -175,96 +181,138 @@ class ExperimentRun:
 
 
 class _Arm:
-    """Pre-pruned inverse-CDF tables for one context of one model."""
+    """Pre-pruned inverse-CDF tables for one context of one model.
 
-    __slots__ = ("cause_ids", "cause_cum", "alice_cdfs", "bob_cdfs")
+    Cumulative weights are stored as integer thresholds (``_cuts``), so the
+    kernel picks a cause or an outcome by ``bisect_right`` over integers.
+    ``branches[k]`` holds the ``k``-th kept cause: its id, then Alice's and
+    Bob's outcome thresholds, each followed by the outcome numbers they pick.
+    """
 
-    def __init__(
-        self,
-        causes: Sequence[tuple[str, Prob]],
-        alice_rows: Sequence[tuple[Prob, ...]],
-        bob_rows: Sequence[tuple[Prob, ...]],
-    ) -> None:
-        self.cause_ids: list[str] = []
-        self.cause_cum: list[Prob] = []
-        self.alice_cdfs: list[list[tuple[Prob, int]]] = []
-        self.bob_cdfs: list[list[tuple[Prob, int]]] = []
-        acc: Prob = Fraction(0)
-        for (cause_id, weight), alice_row, bob_row in zip(causes, alice_rows, bob_rows):
-            if weight == 0:
-                continue
-            acc = acc + weight
-            self.cause_ids.append(cause_id)
-            self.cause_cum.append(_fast_threshold(acc))
-            self.alice_cdfs.append(_outcome_cdf(alice_row))
-            self.bob_cdfs.append(_outcome_cdf(bob_row))
+    __slots__ = ("cause_cuts", "branches")
 
-
-def _fast_threshold(value: Prob) -> Prob:
-    # Exact-as-float thresholds let the hot loop compare float-to-float.
-    if isinstance(value, Fraction):
-        as_float = float(value)
-        if Fraction(as_float) == value:
-            return as_float
-    return value
-
-
-def _outcome_cdf(row: Sequence[Prob]) -> list[tuple[Prob, int]]:
-    cdf: list[tuple[Prob, int]] = []
-    acc: Prob = Fraction(0)
-    for index, p in enumerate(row, start=1):
-        if p == 0:
-            continue
-        acc = acc + p
-        cdf.append((_fast_threshold(acc), index))
-    return cdf
-
-
-def _pick(cdf: Sequence[tuple[Prob, int]], u: float) -> int:
-    for threshold, index in cdf:
-        if u < threshold:
-            return index
-    # Cumulative error in float thresholds can leave u at the very top.
-    return cdf[-1][1]
-
-
-def _build_arms(model: Model) -> dict[Context, _Arm]:
-    validate_model(model)
-    arms: dict[Context, _Arm] = {}
-    for ctx in model.scenario.contexts():
+    def __init__(self, model: Model, ctx: Context) -> None:
         if isinstance(model, NonContextualModel):
-            causes = [(c.id, c.weight) for c in model.causes]
-            alice_rows = [
-                model.alice_response.outcome_probs(ctx.alice, c.id)
-                for c in model.causes
-            ]
-            bob_rows = [
-                model.bob_response.outcome_probs(ctx.bob, c.id) for c in model.causes
-            ]
+            causes, alice, bob = model.causes, model.alice_response, model.bob_response
         else:
             block = model.blocks[ctx]
-            causes = [(c.id, c.weight) for c in block.causes]
-            alice_rows = [
-                block.alice_response.outcome_probs(ctx.alice, c.id)
-                for c in block.causes
-            ]
-            bob_rows = [
-                block.bob_response.outcome_probs(ctx.bob, c.id)
-                for c in block.causes
-            ]
-        arms[ctx] = _Arm(causes, alice_rows, bob_rows)
-    return arms
+            causes, alice, bob = block.causes, block.alice_response, block.bob_response
+        kept = [c for c in causes if c.weight != 0]
+        self.cause_cuts = _cuts(c.weight for c in kept)
+        self.branches = [
+            (
+                c.id,
+                *_outcome_table(alice.outcome_probs(ctx.alice, c.id)),
+                *_outcome_table(bob.outcome_probs(ctx.bob, c.id)),
+            )
+            for c in kept
+        ]
 
 
-def _draw_record(arm: _Arm, ctx: Context, trial_index: int, seed: int) -> TrialRecord:
-    u_cause = unit_draw(seed, trial_index, 1)
-    k = 0
-    cause_cum = arm.cause_cum
-    while k < len(cause_cum) - 1 and not u_cause < cause_cum[k]:
-        k += 1
-    a = _pick(arm.alice_cdfs[k], unit_draw(seed, trial_index, 2))
-    b = _pick(arm.bob_cdfs[k], unit_draw(seed, trial_index, 3))
-    return TrialRecord(trial_index, ctx, arm.cause_ids[k], a, b)
+def _cuts(weights: Iterable[Prob]) -> list[int]:
+    """Integer inverse-CDF thresholds: the first one above a draw ``m`` picks.
+
+    A cumulative weight ``c`` becomes ``ceil(c * 2**53)``, so for the 53-bit
+    draw ``m`` the test ``m / 2**53 < c`` is exactly ``m < threshold``.  Weights
+    accumulate in declaration order as the contract says, float sums rounding
+    as floats.  The running maximum keeps the list sorted without changing
+    which entry is the first above ``m``, and the last threshold is raised to
+    ``2**53``, above every draw, so the last entry takes whatever rounding
+    leaves at the top.
+    """
+    cuts: list[int] = []
+    acc: Prob = Fraction(0)
+    for weight in weights:
+        acc = acc + weight
+        cuts.append(_threshold(acc))
+    cuts = list(accumulate(cuts, max))
+    cuts[-1] = 1 << 53
+    return cuts
+
+
+def _threshold(value: Prob) -> int:
+    """``ceil(value * 2**53)``, exact for rational and float ``value``."""
+    c = Fraction(value)
+    return -((-c.numerator << 53) // c.denominator)
+
+
+def _outcome_table(row: Sequence[Prob]) -> tuple[list[int], list[int]]:
+    outcomes = [index for index, p in enumerate(row, start=1) if p != 0]
+    return _cuts(p for p in row if p != 0), outcomes
+
+
+def _grid(scenario: Scenario, ctx: Context) -> list[list[int]]:
+    return [
+        [0] * scenario.bob_outcomes[ctx.bob]
+        for _ in range(scenario.alice_outcomes[ctx.alice])
+    ]
+
+
+# mix(draw ^ K2) for draw indices 0-3: the last key component of every word.
+_DRAW_KEYS = tuple(_mix64(draw ^ _K2) for draw in range(4))
+
+
+def _sample(
+    arms: Sequence[_Arm],
+    contexts: Sequence[Context],
+    grids: Sequence[list[list[int]]],
+    seed: int,
+    indices: range,
+    kind: str,
+    fixed: int = 0,
+) -> list[TrialRecord]:
+    """The one sampling kernel: a record per trial, each also counted in ``grids``.
+
+    ``arms``, ``contexts`` and ``grids`` are parallel, indexed by context
+    position: ``fixed`` under the fixed schedule, ``i % len(contexts)`` under
+    cycle, the draw-0 pick under uniform.  Each word is ``keyed_word(seed, i,
+    draw)`` with the fixed parts hoisted: ``mix(seed ^ K0)`` once per call,
+    the trial key once per trial and ``mix(draw ^ K2)`` from ``_DRAW_KEYS``,
+    so each draw is one ``mix``, written out inline.
+    """
+    n_ctx = len(contexts)
+    uniform = kind == "uniform"
+    cycle = kind == "cycle"
+    mask, k1, c1, c2 = _MASK64, _K1, _C1, _C2
+    d0, d1, d2, d3 = _DRAW_KEYS
+    run_key = _mix64((seed & mask) ^ _K0)
+    records: list[TrialRecord] = []
+    append = records.append
+    for i in indices:
+        x = (i & mask) ^ k1
+        x = ((x ^ (x >> 30)) * c1) & mask
+        x = ((x ^ (x >> 27)) * c2) & mask
+        x = run_key ^ x ^ (x >> 31)
+        x = ((x ^ (x >> 30)) * c1) & mask
+        x = ((x ^ (x >> 27)) * c2) & mask
+        key = x ^ (x >> 31)
+        if uniform:
+            x = key ^ d0
+            x = ((x ^ (x >> 30)) * c1) & mask
+            x = ((x ^ (x >> 27)) * c2) & mask
+            pos = int(((x ^ (x >> 31)) >> 11) * 2.0**-53 * n_ctx)
+        elif cycle:
+            pos = i % n_ctx
+        else:
+            pos = fixed
+        arm = arms[pos]
+        x = key ^ d1
+        x = ((x ^ (x >> 30)) * c1) & mask
+        x = ((x ^ (x >> 27)) * c2) & mask
+        cause_id, a_cuts, a_outcomes, b_cuts, b_outcomes = arm.branches[
+            bisect_right(arm.cause_cuts, (x ^ (x >> 31)) >> 11)
+        ]
+        x = key ^ d2
+        x = ((x ^ (x >> 30)) * c1) & mask
+        x = ((x ^ (x >> 27)) * c2) & mask
+        a = a_outcomes[bisect_right(a_cuts, (x ^ (x >> 31)) >> 11)]
+        x = key ^ d3
+        x = ((x ^ (x >> 30)) * c1) & mask
+        x = ((x ^ (x >> 27)) * c2) & mask
+        b = b_outcomes[bisect_right(b_cuts, (x ^ (x >> 31)) >> 11)]
+        append(TrialRecord(i, contexts[pos], cause_id, a, b))
+        grids[pos][a - 1][b - 1] += 1
+    return records
 
 
 def sample_trial(
@@ -275,15 +323,22 @@ def sample_trial(
     A pure function of ``(seed, trial_index)`` for a given model and
     context; repeated calls return the identical record.
     """
-    arms = _build_arms(model)
-    try:
-        arm = arms[context]
-    except KeyError:
+    validate_model(model)
+    scenario = model.scenario
+    if context not in scenario.contexts():
         raise SamplerError(
             f"model has no context ({context.alice},{context.bob})",
             code="BAD_PLAN",
-        ) from None
-    return _draw_record(arm, context, trial_index, seed)
+        )
+    (record,) = _sample(
+        [_Arm(model, context)],
+        [context],
+        [_grid(scenario, context)],
+        seed,
+        range(trial_index, trial_index + 1),
+        "fixed",
+    )
+    return record
 
 
 def run_experiment(model: Model, plan: ExperimentPlan) -> ExperimentRun:
@@ -293,41 +348,34 @@ def run_experiment(model: Model, plan: ExperimentPlan) -> ExperimentRun:
     the index range merge (via ``EmpiricalBehavior.merge``) into exactly the
     serial result.
     """
-    arms = _build_arms(model)
+    validate_model(model)
     scenario = model.scenario
     contexts = scenario.contexts()
     schedule = plan.schedule
-    if schedule.kind == "fixed" and schedule.context not in arms:
-        raise SamplerError(
-            f"fixed schedule names a context outside the scenario: "
-            f"({schedule.context.alice},{schedule.context.bob})",
-            code="BAD_PLAN",
-        )
-    n_ctx = len(contexts)
-    counts = {
-        ctx: [
-            [0] * scenario.bob_outcomes[ctx.bob]
-            for _ in range(scenario.alice_outcomes[ctx.alice])
-        ]
-        for ctx in contexts
-    }
-    records: list[TrialRecord] = []
-    seed = plan.seed
-    for i in range(plan.trials):
-        if schedule.kind == "fixed":
-            ctx = schedule.context
-        elif schedule.kind == "cycle":
-            ctx = contexts[i % n_ctx]
-        else:
-            ctx = contexts[int(unit_draw(seed, i, 0) * n_ctx)]
-        record = _draw_record(arms[ctx], ctx, i, seed)
-        records.append(record)
-        counts[ctx][record.alice_outcome - 1][record.bob_outcome - 1] += 1
+    fixed = 0
+    if schedule.kind == "fixed":
+        if schedule.context not in contexts:
+            raise SamplerError(
+                f"fixed schedule names a context outside the scenario: "
+                f"({schedule.context.alice},{schedule.context.bob})",
+                code="BAD_PLAN",
+            )
+        fixed = contexts.index(schedule.context)
+    grids = [_grid(scenario, ctx) for ctx in contexts]
+    records = _sample(
+        [_Arm(model, ctx) for ctx in contexts],
+        contexts,
+        grids,
+        plan.seed,
+        range(plan.trials),
+        schedule.kind,
+        fixed,
+    )
     empirical = EmpiricalBehavior(
         scenario,
         {
             ctx: tuple(tuple(row) for row in grid)
-            for ctx, grid in counts.items()
+            for ctx, grid in zip(contexts, grids)
             if any(v for row in grid for v in row)
         },
     )

@@ -1,9 +1,14 @@
 """Command-line behavior: outputs, exit codes, machine mode, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bellbox
 from bellbox import builtin_document, parse_document, serialize_document
 from bellbox.cli import run_cli
 
@@ -177,12 +182,43 @@ class TestSampleCommand:
         assert code == 1
         assert "trials" in err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, capsys, seed):
+        code, out, err = run(capsys, "sample", "socks-on", "--seed", str(seed))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--seed" in err
+
+    def test_seed_range_ends_accepted(self, capsys):
+        for seed in (0, 2**64 - 1):
+            argv = ["sample", "socks-on", "--seed", str(seed), "--trials", "8"]
+            code, _, _ = run(capsys, *argv)
+            assert code == 0
+
 
 class TestShowCommand:
     def test_prints_canonical_document(self, capsys):
         code, out, _ = run(capsys, "show", "socks-off")
         assert code == 0
         assert out == serialize_document(builtin_document("socks-off"))
+
+
+class TestModuleEntryPoint:
+    def test_python_m_matches_run_cli(self, capsys):
+        code, expected, _ = run(capsys, "show", "socks-on")
+        assert code == 0
+        src = str(Path(bellbox.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        done = subprocess.run(
+            [sys.executable, "-m", "bellbox.cli", "show", "socks-on"],
+            env=env,
+            capture_output=True,
+            timeout=60,
+            check=False,
+        )
+        assert done.returncode == 0
+        assert done.stdout == expected.encode("utf-8")
 
 
 class TestInputHandling:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from bellbox import (
     socks_color,
     socks_off,
     socks_on,
+    validate_model,
 )
 from _oracles import color_variant_table, singlet_state_table
 from _tables import (
@@ -192,6 +194,29 @@ class TestDegenerateModels:
             exact_behavior_noncontextual(
                 NonContextualModel(scenario, causes, alice, bob)
             )
+        assert exc.value.code == "MODEL_INVALID"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_cause_weight_rejected(self, bad):
+        model = socks_on()
+        causes = (replace(model.causes[0], weight=bad), *model.causes[1:])
+        with pytest.raises(ModelError) as exc:
+            validate_model(replace(model, causes=causes))
+        assert exc.value.code == "MODEL_INVALID"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_response_probability_rejected(self, bad):
+        model = socks_off()
+        ctx = Context(1, 1)
+        block = model.blocks[ctx]
+        table = dict(block.bob_response.table)
+        key = (ctx.bob, block.causes[0].id)
+        table[key] = (bad, 1.0)
+        blocks = dict(model.blocks)
+        bob = replace(block.bob_response, table=table)
+        blocks[ctx] = replace(block, bob_response=bob)
+        with pytest.raises(ModelError) as exc:
+            validate_model(replace(model, blocks=blocks))
         assert exc.value.code == "MODEL_INVALID"
 
     def test_missing_response_rejected(self):

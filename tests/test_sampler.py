@@ -1,8 +1,12 @@
 """Sampler determinism, convergence, schedules, and the trial export format."""
 
+import hashlib
 import io
+from bisect import bisect_right
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,11 +14,15 @@ import pytest
 from bellbox import (
     Cause,
     Context,
+    ContextBlock,
+    ContextualModel,
     EmpiricalBehavior,
     ExperimentPlan,
+    ModelError,
     NonContextualModel,
     ResponseFunction,
     SamplerError,
+    Scenario,
     Schedule,
     deterministic_row,
     empirical_deviation,
@@ -27,7 +35,7 @@ from bellbox import (
     unit_draw,
     write_trials,
 )
-from bellbox.sampler import keyed_word
+from bellbox.sampler import _cuts, _threshold, keyed_word
 from _tables import STANDARD_SCENARIO
 
 F = Fraction
@@ -316,3 +324,178 @@ class TestExport:
         write_trials(first, STANDARD_SCENARIO, run_experiment(socks_off(), plan).records)
         write_trials(second, STANDARD_SCENARIO, run_experiment(socks_off(), plan).records)
         assert first.getvalue() == second.getvalue()
+
+
+def _contract_pick(weights, u: float) -> int:
+    """Inverse CDF as the contract states it: exact ``u < cumulative`` tests."""
+    kept = [(index, w) for index, w in enumerate(weights) if w != 0]
+    acc = F(0)
+    for index, w in kept:
+        acc = acc + w
+        if u < acc:
+            return index
+    return kept[-1][0]
+
+
+class TestIntegerThresholds:
+    """``m / 2**53 < c`` is decided exactly as ``m < ceil(c * 2**53)``."""
+
+    @pytest.mark.parametrize(
+        "c", [F(1, 3), F(2, 7), F(1, 10), 0.1, 0.3, 1 - 1e-13]
+    )
+    def test_agrees_with_exact_comparison(self, c):
+        t = _threshold(c)
+        rng = random.Random(53)
+        ms = [t - 1, t, t + 1]
+        ms += [rng.randrange(2**53) for _ in range(200)]
+        ms += [t + rng.randrange(-(2**12), 2**12) for _ in range(200)]
+        for m in ms:
+            assert (m < t) == (F(m, 2**53) < F(c))
+            assert (m < t) == (m * 2.0**-53 < c)
+
+    # 0.375 + 0.1 / 2**53 rounds down to 0.375 as a float, so after a tiny
+    # float weight the running sum's threshold falls below the first one.
+    _BELOW_FLOAT = F(10 * 3 * 2**51 + 1, 10 * 2**53)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [F(1, 3), F(2, 7), F(8, 21)],
+            [0.1] * 10,  # float sum 1 - 2**-53: the top draw falls past it
+            [_BELOW_FLOAT, 1e-300, 1 - _BELOW_FLOAT],
+        ],
+    )
+    def test_cuts_pick_like_the_contract(self, weights):
+        cuts = _cuts(weights)
+        ms = {0, 2**53 - 1}
+        for t in cuts[:-1]:
+            ms.update((t - 1, t, t + 1))
+        for m in sorted(ms):
+            expected = _contract_pick(weights, m * 2.0**-53)
+            assert bisect_right(cuts, m) == expected
+
+
+# A 2x3 scenario with a three-outcome setting on each side, so contexts are
+# not a power of two (the uniform pick rounds) and outcome tables are longer.
+_DIGEST_SCENARIO = Scenario(("X", "X'"), ("Y", "Y'", "Y''"), (2, 3), (2, 2, 3))
+
+
+def _rational_row(rng: random.Random, n: int) -> tuple[Fraction, ...]:
+    """Random distribution over ``n`` entries in 3rds to 13ths, zeros allowed."""
+    den = rng.choice((3, 5, 7, 9, 11, 13))
+    cuts = sorted(rng.randrange(den + 1) for _ in range(n - 1))
+    bounds = [0, *cuts, den]
+    return tuple(F(hi - lo, den) for lo, hi in zip(bounds, bounds[1:]))
+
+
+def _digest_model(as_float: bool, rng_seed: int) -> ContextualModel:
+    rng = random.Random(rng_seed)
+    convert = float if as_float else (lambda p: p)
+    blocks = {}
+    for ctx in _DIGEST_SCENARIO.contexts():
+        weights = _rational_row(rng, rng.randint(3, 6))
+        causes = tuple(Cause(f"k{j}", convert(w)) for j, w in enumerate(weights))
+        rows = {}
+        for party, setting, n in (
+            ("alice", ctx.alice, _DIGEST_SCENARIO.alice_outcomes[ctx.alice]),
+            ("bob", ctx.bob, _DIGEST_SCENARIO.bob_outcomes[ctx.bob]),
+        ):
+            rows[party] = {
+                (setting, c.id): tuple(convert(p) for p in _rational_row(rng, n))
+                for c in causes
+            }
+        blocks[ctx] = ContextBlock(
+            causes,
+            ResponseFunction("alice", rows["alice"]),
+            ResponseFunction("bob", rows["bob"]),
+        )
+    return ContextualModel(_DIGEST_SCENARIO, blocks)
+
+
+_DIGEST_SCHEDULES = {
+    "fixed": Schedule.fixed(Context(1, 2)),
+    "uniform": Schedule.uniform(),
+    "cycle": Schedule.cycle(),
+}
+
+# SHA-256 of the write_trials stream (seed 20240601, 3000 trials), captured
+# from the Fraction/float-threshold sampler that the integer thresholds
+# replaced.  They pin the streams against any change of pick rule.
+RATIONAL_STREAM_DIGESTS = {
+    "fixed": "38616043f3813eac295f7369d914691d57834f733fdb1412bb101437f117d495",
+    "uniform": "b64a9679e1d0546ca4cc2326fa29a770940f8be171d9f2560056ce570a6afeae",
+    "cycle": "2857e2c5276a3a3e4ea02a47ec6baea403a8b556493ec5dee20f17f937c3fe6c",
+}
+FLOAT_STREAM_DIGESTS = {
+    "fixed": "857d5eb86cec7c6b768bebda5aec67f87baf84a90e21042d6536fe5c85a64215",
+    "uniform": "0c42c4f95e10851bfaca9ac53d63746aa8f2d67465f5bae7e51896989a906753",
+    "cycle": "619212a19a6b91bd79b01acb53c9db57b7335839a45c08e963f2d8067125454e",
+}
+
+
+def _stream_digest(model, schedule: Schedule) -> str:
+    run = run_experiment(model, ExperimentPlan(20240601, 3000, schedule))
+    buffer = io.StringIO()
+    write_trials(buffer, model.scenario, run.records)
+    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+
+
+def _contract_record(model: ContextualModel, schedule: Schedule, seed: int, i: int):
+    contexts = model.scenario.contexts()
+    if schedule.kind == "fixed":
+        ctx = schedule.context
+    elif schedule.kind == "cycle":
+        ctx = contexts[i % len(contexts)]
+    else:
+        ctx = contexts[int(unit_draw(seed, i, 0) * len(contexts))]
+    block = model.blocks[ctx]
+    weights = [c.weight for c in block.causes]
+    cause = block.causes[_contract_pick(weights, unit_draw(seed, i, 1))]
+    alice_row = block.alice_response.outcome_probs(ctx.alice, cause.id)
+    bob_row = block.bob_response.outcome_probs(ctx.bob, cause.id)
+    a = 1 + _contract_pick(alice_row, unit_draw(seed, i, 2))
+    b = 1 + _contract_pick(bob_row, unit_draw(seed, i, 3))
+    return (i, ctx, cause.id, a, b)
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("as_float", [False, True])
+    @pytest.mark.parametrize("kind", sorted(_DIGEST_SCHEDULES))
+    def test_records_follow_the_contract(self, kind, as_float):
+        model = _digest_model(as_float=as_float, rng_seed=11)
+        schedule = _DIGEST_SCHEDULES[kind]
+        run = run_experiment(model, ExperimentPlan(5, 600, schedule))
+        assert [
+            (r.index, r.context, r.cause_id, r.alice_outcome, r.bob_outcome)
+            for r in run.records
+        ] == [_contract_record(model, schedule, 5, i) for i in range(600)]
+
+    @pytest.mark.parametrize("kind", sorted(_DIGEST_SCHEDULES))
+    def test_non_dyadic_rational_weights(self, kind):
+        model = _digest_model(as_float=False, rng_seed=2024)
+        digest = _stream_digest(model, _DIGEST_SCHEDULES[kind])
+        assert digest == RATIONAL_STREAM_DIGESTS[kind]
+
+    @pytest.mark.parametrize("kind", sorted(_DIGEST_SCHEDULES))
+    def test_float_weights(self, kind):
+        model = _digest_model(as_float=True, rng_seed=7)
+        digest = _stream_digest(model, _DIGEST_SCHEDULES[kind])
+        assert digest == FLOAT_STREAM_DIGESTS[kind]
+
+
+class TestNonFiniteModels:
+    def _nan_socks_on(self):
+        model = socks_on()
+        causes = (*model.causes[:3], replace(model.causes[3], weight=math.nan))
+        return replace(model, causes=causes)
+
+    def test_run_experiment_rejects_nan_weight(self):
+        plan = ExperimentPlan(1, 10, Schedule.cycle())
+        with pytest.raises(ModelError) as exc:
+            run_experiment(self._nan_socks_on(), plan)
+        assert exc.value.code == "MODEL_INVALID"
+
+    def test_sample_trial_rejects_nan_weight(self):
+        with pytest.raises(ModelError) as exc:
+            sample_trial(self._nan_socks_on(), Context(0, 0), 0, 1)
+        assert exc.value.code == "MODEL_INVALID"

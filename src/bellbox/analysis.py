@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidBehaviorError, MembershipError, ScenarioShapeError
+from .errors import (
+    BellboxError,
+    InvalidBehaviorError,
+    MembershipError,
+    MixtureError,
+    ScenarioShapeError,
+)
 from .scenario import (
     Behavior,
     Context,
@@ -23,7 +29,6 @@ from .scenario import (
     Scenario,
     expectation,
     marginals,
-    mix,
     require_valid,
     validate_behavior,
 )
@@ -165,9 +170,32 @@ class LocalDecomposition:
     weights: tuple[tuple[DeterministicStrategy, Fraction], ...]
 
     def to_behavior(self) -> Behavior:
-        return mix(
-            [(w, strategy_behavior(self.scenario, s)) for s, w in self.weights]
-        )
+        """The mixture: each entry is the total weight of the strategies hitting it.
+
+        Weights must be non-negative and sum to 1, as for ``mix``.
+        """
+        weights = [w for _, w in self.weights]
+        if any(w < 0 for w in weights):
+            raise MixtureError(f"negative weight in {weights}", code="BAD_WEIGHTS")
+        total = sum(weights, Fraction(0))
+        if total != 1:
+            raise MixtureError(f"weights sum to {total}, expected 1", code="BAD_WEIGHTS")
+        scenario = self.scenario
+        contexts = scenario.contexts()
+        grids = {
+            ctx: [
+                [Fraction(0)] * scenario.bob_outcomes[ctx.bob]
+                for _ in range(scenario.alice_outcomes[ctx.alice])
+            ]
+            for ctx in contexts
+        }
+        for strategy, weight in self.weights:
+            for ctx in contexts:
+                grid = grids[ctx]
+                a = strategy.alice[ctx.alice] - 1
+                b = strategy.bob[ctx.bob] - 1
+                grid[a][b] += weight
+        return Behavior(scenario, {ctx: tuple(map(tuple, g)) for ctx, g in grids.items()})
 
 
 @dataclass(frozen=True)
@@ -276,39 +304,54 @@ def local_membership(behavior: Behavior) -> MembershipResult:
         tested, snap_error = behavior, 0.0
     else:
         # Floating input gets the membership tolerance, not the stricter
-        # behavior invariant: negative entries still fail validation, but
-        # normalization is enforced by the snap step below.
-        result = validate_behavior(behavior)
-        if not result.ok and result.code != "UNNORMALIZED_CONTEXT":
+        # behavior invariant: every other check still runs on every context,
+        # but normalization is enforced by the snap step below.
+        result = validate_behavior(behavior, normalized=False)
+        if not result.ok:
             raise InvalidBehaviorError(result.message, code=result.code or "INTERNAL")
         tested, snap_error = _snap_behavior(behavior)
     scenario = tested.scenario
     strategies = enumerate_strategies(scenario)
     entry_keys = [(ctx, a, b) for ctx, a, b, _ in tested.entries()]
 
-    matrix = [
-        [Fraction(1) if s.hits(ctx, a, b) else Fraction(0) for s in strategies]
-        for ctx, a, b in entry_keys
-    ]
+    matrix = [[int(s.hits(ctx, a, b)) for s in strategies] for ctx, a, b in entry_keys]
     rhs = [Fraction(tested.prob(ctx, a, b)) for ctx, a, b in entry_keys]
-    matrix.append([Fraction(1)] * len(strategies))
+    matrix.append([1] * len(strategies))
     rhs.append(Fraction(1))
 
+    # The proof checks below guard the solver: they raise, never assert, so
+    # an unproven verdict cannot escape under ``python -O`` either.
     outcome = solve_equality_feasibility(matrix, rhs)
-    if outcome.feasible:
-        assert outcome.solution is not None
+    if outcome.solution is not None:
+        # A list, not a generator: tuple(generator) allocates spare slots and
+        # shrinks, and the shrunk tuple later idles in a per-size free list.
         weights = tuple(
-            (strategy, weight)
-            for strategy, weight in zip(strategies, outcome.solution)
-            if weight != 0
+            [
+                (strategy, weight)
+                for strategy, weight in zip(strategies, outcome.solution)
+                if weight != 0
+            ]
         )
         decomposition = LocalDecomposition(scenario, weights)
-        assert decomposition.to_behavior() == tested
+        try:
+            reproduced = decomposition.to_behavior() == tested
+        except MixtureError:
+            reproduced = False
+        if not reproduced:
+            raise BellboxError(
+                "local decomposition does not reproduce the tested behavior",
+                code="INTERNAL",
+            )
         return MembershipResult(True, decomposition, None, tested, snap_error)
 
-    assert outcome.certificate is not None
+    if outcome.certificate is None:
+        raise BellboxError("membership solver returned no certificate", code="INTERNAL")
     certificate = _build_certificate(tested, entry_keys, outcome.certificate)
-    assert certificate.verify(tested)
+    if not certificate.verify(tested):
+        raise BellboxError(
+            "separating functional does not separate the tested behavior",
+            code="INTERNAL",
+        )
     return MembershipResult(False, None, certificate, tested, snap_error)
 
 

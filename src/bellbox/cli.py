@@ -96,6 +96,9 @@ def run_cli(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BellboxError as exc:
+        if exc.code == "INTERNAL":  # a failed proof check, not bad input
+            traceback.print_exc()
+            return 2
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
     except Exception:  # noqa: BLE001 - internal invariant violation

@@ -50,6 +50,11 @@ FILE_EXTENSION = ".bellbox"
 #: Denominator cap when decimal literals are converted to rationals.
 DECIMAL_DENOMINATOR = 10**6
 
+#: Longest integer literal (digits, sign not counted) the parser converts;
+#: longer ones get a diagnostic.  Equal to CPython's default cap on
+#: integer-string conversion, so every literal below it converts.
+MAX_LITERAL_DIGITS = 4300
+
 _SECTION_NAMES = ("metadata", "scenario", "behavior", "noncontextual", "contextual", "singlet")
 _PAYLOAD_NAMES = ("behavior", "noncontextual", "contextual", "singlet")
 
@@ -189,20 +194,48 @@ class _DocParser:
 
     # -- numeric literals ---------------------------------------------------
 
+    def parse_int(self, token: str, line: int, column: int) -> int | None:
+        """Digits with an optional sign; None (with a diagnostic) when too long."""
+        if len(token.lstrip("+-")) > MAX_LITERAL_DIGITS:
+            self.error(
+                line,
+                column,
+                f"SYNTAX: integer literal longer than {MAX_LITERAL_DIGITS} digits",
+                token[:40] + "...",
+            )
+            return None
+        return int(token)
+
+    def parse_rational(self, token: str, line: int, column: int) -> Fraction | None:
+        """``n/d`` or integer literal; None (with a diagnostic) when unusable."""
+        m = _RATIONAL_RE.match(token)
+        numerator = self.parse_int(m.group(1) if m else token, line, column)
+        denominator = self.parse_int(m.group(2), line, column) if m else 1
+        if numerator is None or denominator is None:
+            return None
+        if denominator == 0:
+            self.error(line, column, "SYNTAX: zero denominator", token)
+            return None
+        return Fraction(numerator, denominator)
+
+    def finite_float(self, value: Fraction, token: str, line: int, column: int) -> float | None:
+        """Nearest float to an exact value; None (with a diagnostic) beyond float range."""
+        try:
+            return float(value)
+        except OverflowError:
+            self.error(line, column, "SYNTAX: number out of range", token)
+            return None
+
     def parse_probability(
         self, token: str, line: int, column: int, *, as_float: bool
     ) -> Prob | None:
         """Rational/decimal literal; None (with a diagnostic) when malformed."""
-        m = _RATIONAL_RE.match(token)
-        if m:
-            denominator = int(m.group(2))
-            if denominator == 0:
-                self.error(line, column, "SYNTAX: zero denominator", token)
-                return None
-            value = Fraction(int(m.group(1)), denominator)
-            return float(value) if as_float else value
-        if _INT_RE.match(token):
-            return float(token) if as_float else Fraction(int(token))
+        # In float mode a plain integer is read by float() below, as a decimal.
+        if _RATIONAL_RE.match(token) or (not as_float and _INT_RE.match(token)):
+            value = self.parse_rational(token, line, column)
+            if value is None or not as_float:
+                return value
+            return self.finite_float(value, token, line, column)
         if _DECIMAL_RE.match(token):
             value = float(token)
             if not math.isfinite(value):
@@ -222,12 +255,11 @@ class _DocParser:
         return None
 
     def parse_float(self, token: str, line: int, column: int) -> float | None:
-        m = _RATIONAL_RE.match(token)
-        if m:
-            if int(m.group(2)) == 0:
-                self.error(line, column, "SYNTAX: zero denominator", token)
+        if _RATIONAL_RE.match(token):
+            value = self.parse_rational(token, line, column)
+            if value is None:
                 return None
-            return int(m.group(1)) / int(m.group(2))
+            return self.finite_float(value, token, line, column)
         if _DECIMAL_RE.match(token):
             value = float(token)
             if math.isfinite(value):
@@ -319,7 +351,12 @@ def _split_sections(p: _DocParser) -> dict[str, list[_Line]] | None:
             tokens[0][0] if tokens else "",
         )
         return None
-    if not _INT_RE.match(tokens[1][0]) or int(tokens[1][0]) != FORMAT_VERSION:
+    version = tokens[1][0]
+    if (
+        not _INT_RE.match(version)
+        or len(version) > MAX_LITERAL_DIGITS
+        or int(version) != FORMAT_VERSION
+    ):
         p.error(
             header_line,
             tokens[1][1],
@@ -420,10 +457,16 @@ def _build_scenario(p: _DocParser, lines: list[_Line]) -> Scenario | None:
         line_no, column, value = raw[key]
         parsed = []
         for tok, col in _tokens(value, column - 1):
-            if not _INT_RE.match(tok) or int(tok) < 2:
+            if not _INT_RE.match(tok):
+                p.error(line_no, col, "SYNTAX: outcome counts are integers >= 2", tok)
+                continue
+            count = p.parse_int(tok, line_no, col)
+            if count is None:
+                continue
+            if count < 2:
                 p.error(line_no, col, "SYNTAX: outcome counts are integers >= 2", tok)
             else:
-                parsed.append(int(tok))
+                parsed.append(count)
         if len(parsed) != len(settings[party]):
             p.error(
                 line_no,
@@ -472,7 +515,10 @@ def _build_behavior(
                 tok[0],
             )
             continue
-        a, b = int(m.group(1)), int(m.group(2))
+        a = p.parse_int(m.group(1), line_no, m.start(1) + 1)
+        b = p.parse_int(m.group(2), line_no, m.start(2) + 1)
+        if a is None or b is None:
+            continue
         x_label, y_label = m.group(3), m.group(4)
         if x_label not in scenario.alice_settings:
             p.error(line_no, m.start(3) + 1, "UNKNOWN_LABEL: not an alice setting", x_label)
@@ -687,7 +733,9 @@ class _CauseAccumulator:
                         )
         if self.p.has_errors():
             return None
-        causes = tuple(Cause(cid, w) for cid, w, _ in self.causes)
+        # A list, not a generator: tuple(generator) allocates spare slots and
+        # shrinks, and the shrunk tuple later idles in a per-size free list.
+        causes = tuple([Cause(cid, w) for cid, w, _ in self.causes])
         alice = ResponseFunction(
             "alice",
             {

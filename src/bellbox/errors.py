@@ -18,7 +18,8 @@ class BellboxError(Exception):
 class InvalidBehaviorError(BellboxError):
     """A probability table violates a behavior invariant.
 
-    Codes: NEGATIVE_ENTRY, UNNORMALIZED_CONTEXT, MISSING_CONTEXT.
+    Codes: NON_FINITE_ENTRY (NaN or an infinity), NEGATIVE_ENTRY,
+    UNNORMALIZED_CONTEXT, MISSING_CONTEXT.
     """
 
 

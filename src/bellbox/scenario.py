@@ -9,6 +9,7 @@ normalization checked against ``FLOAT_ATOL``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Literal, Sequence, Union
@@ -196,11 +197,13 @@ class Validation:
     message: str = ""
 
 
-def validate_behavior(behavior: Behavior) -> Validation:
-    """Check non-negativity, per-context normalization, and context coverage.
+def validate_behavior(behavior: Behavior, *, normalized: bool = True) -> Validation:
+    """Check finiteness, non-negativity, per-context normalization, and coverage.
 
     Exact tables must sum to 1 exactly; tables containing floats may deviate
-    by at most ``FLOAT_ATOL``.  The first violated invariant is reported.
+    by at most ``FLOAT_ATOL``.  ``normalized=False`` skips the sum check
+    (every other check still runs on every context).  The first violated
+    invariant is reported.
     """
     scenario = behavior.scenario
     known = set(scenario.contexts())
@@ -232,6 +235,14 @@ def validate_behavior(behavior: Behavior) -> Validation:
         all_exact = True
         for row in rows:
             for value in row:
+                exact = is_exact(value)
+                if not exact and not math.isfinite(value):
+                    return Validation(
+                        False,
+                        "NON_FINITE_ENTRY",
+                        ctx,
+                        f"non-finite probability {value} in context {label}",
+                    )
                 if value < 0:
                     return Validation(
                         False,
@@ -239,8 +250,10 @@ def validate_behavior(behavior: Behavior) -> Validation:
                         ctx,
                         f"negative probability {value} in context {label}",
                     )
-                all_exact = all_exact and is_exact(value)
+                all_exact = all_exact and exact
                 total = total + value
+        if not normalized:
+            continue
         if all_exact:
             if total != 1:
                 return Validation(

@@ -1,6 +1,7 @@
 """Seeded generators for round-trip and robustness testing of documents."""
 
 import random
+import re
 from fractions import Fraction
 
 from bellbox import (
@@ -162,3 +163,18 @@ def mutate_text(rand: random.Random, text: str) -> str:
         i = rand.randrange(len(lines)) if lines else 0
         lines[i:i] = ["[mystery]", "key = value"]
     return "\n".join(lines)
+
+
+def inflate_literal(rand: random.Random, text: str, digits: int = 5000) -> str:
+    """Replace one run of digits in the text with a ``digits``-digit literal.
+
+    Hits version headers, probabilities, outcome counts, ``P(a,b|...)``
+    indices, angles and digits inside labels alike.
+    """
+    runs = [m.span() for m in re.finditer(r"\d+", text)]
+    if not runs:
+        return text
+    start, end = rand.choice(runs)
+    tail = "".join(rand.choice("0123456789") for _ in range(digits - 1))
+    literal = str(rand.randint(1, 9)) + tail
+    return text[:start] + literal + text[end:]

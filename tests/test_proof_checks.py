@@ -1,0 +1,101 @@
+"""Membership verdicts are checked proofs, also when the solver misbehaves.
+
+The checks must raise, not assert, so they also hold under ``python -O``.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import bellbox
+import bellbox.analysis as analysis
+from bellbox import BellboxError, exact_behavior, local_membership, socks_off, socks_on
+from bellbox.cli import run_cli
+from bellbox.simplex import FeasibilityOutcome
+
+F = Fraction
+STRATEGIES = 16
+ROWS = 17  # 16 table entries plus the weight normalization
+
+
+def _solver_returning(outcome):
+    return lambda matrix, rhs: outcome
+
+
+BOGUS = {
+    # Strategy 0 alone does not reproduce socks-on.
+    "wrong solution": (socks_on, FeasibilityOutcome((F(1),) + (F(0),) * 15, None)),
+    # Reproduces nothing and is not a convex combination.
+    "negative weights": (socks_on, FeasibilityOutcome((F(2), F(-1)) + (F(0),) * 14, None)),
+    # The all-ones functional equals its local bound on every behavior.
+    "bogus certificate": (socks_off, FeasibilityOutcome(None, (F(1),) * ROWS)),
+    "neither": (socks_off, FeasibilityOutcome(None, None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOGUS))
+def test_unproven_verdict_raises_internal(monkeypatch, case):
+    model, outcome = BOGUS[case]
+    monkeypatch.setattr(analysis, "solve_equality_feasibility", _solver_returning(outcome))
+    with pytest.raises(BellboxError) as exc:
+        local_membership(exact_behavior(model()))
+    assert exc.value.code == "INTERNAL"
+
+
+def test_cli_reports_a_failed_proof_as_internal(monkeypatch, capsys):
+    model, outcome = BOGUS["bogus certificate"]
+    monkeypatch.setattr(analysis, "solve_equality_feasibility", _solver_returning(outcome))
+    assert run_cli(["membership", "socks-off"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+
+
+def test_checks_survive_python_O():
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction as F
+        import bellbox.analysis as analysis
+        from bellbox import BellboxError, exact_behavior, local_membership, socks_off, socks_on
+        from bellbox.simplex import FeasibilityOutcome
+
+        assert False, "assert statements must be stripped under -O"
+        cases = [
+            (socks_off, FeasibilityOutcome(None, (F(1),) * 17)),
+            (socks_on, FeasibilityOutcome((F(1),) + (F(0),) * 15, None)),
+        ]
+        for model, outcome in cases:
+            analysis.solve_equality_feasibility = lambda m, r, o=outcome: o
+            try:
+                local_membership(exact_behavior(model()))
+            except BellboxError as exc:
+                print(exc.code)
+        """
+    )
+    src = str(Path(bellbox.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["INTERNAL", "INTERNAL"]
+
+
+@pytest.mark.parametrize("model", [socks_on, socks_off])
+def test_honest_solver_passes_the_checks(model):
+    result = local_membership(exact_behavior(model()))
+    if result.feasible:
+        assert result.decomposition.to_behavior() == result.tested
+    else:
+        assert result.certificate.verify(result.tested)

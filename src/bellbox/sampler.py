@@ -26,14 +26,23 @@ zero-weight entries are pruned first so exact cumulative sums are strictly
 increasing and ties are impossible.  Inverse-CDF comparisons are exact,
 because ``u < c`` holds exactly when ``(word >> 11) < ceil(c * 2**53)``,
 for rational and float cumulative weights ``c`` alike.
+
+A run samples its trials in one pass that stores a small integer per trial:
+the index of its cell ``(context, cause, a, b)``.  The counts are read from
+those codes at once; the :class:`TrialRecord` tuple is built from them only
+when ``ExperimentRun.records`` is first read, so a caller that needs only
+counts never builds a record.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import SamplerError
@@ -174,39 +183,67 @@ class EmpiricalBehavior:
         return EmpiricalBehavior(self.scenario, merged)
 
 
-@dataclass(frozen=True)
+# One sampled outcome cell: (context, cause id, Alice's outcome, Bob's outcome).
+_Cell = tuple[Context, str, int, int]
+
+
+@dataclass(frozen=True, eq=False)
 class ExperimentRun:
-    empirical: EmpiricalBehavior
-    records: tuple[TrialRecord, ...]
+    """The counts of a run, and its trial records built on first access.
 
-
-class _Arm:
-    """Pre-pruned inverse-CDF tables for one context of one model.
-
-    Cumulative weights are stored as integer thresholds (``_cuts``), so the
-    kernel picks a cause or an outcome by ``bisect_right`` over integers.
-    ``branches[k]`` holds the ``k``-th kept cause: its id, then Alice's and
-    Bob's outcome thresholds, each followed by the outcome numbers they pick.
+    The run keeps one cell code per trial (``_codes``, indices into
+    ``_cells``); ``records`` turns them into :class:`TrialRecord` objects the
+    first time it is read and caches the tuple.  Two runs are equal when
+    their counts and records are.
     """
 
-    __slots__ = ("cause_cuts", "branches")
+    empirical: EmpiricalBehavior
+    _cells: list[_Cell] = field(repr=False)
+    _codes: array = field(repr=False)
 
-    def __init__(self, model: Model, ctx: Context) -> None:
-        if isinstance(model, NonContextualModel):
-            causes, alice, bob = model.causes, model.alice_response, model.bob_response
-        else:
-            block = model.blocks[ctx]
-            causes, alice, bob = block.causes, block.alice_response, block.bob_response
-        kept = [c for c in causes if c.weight != 0]
-        self.cause_cuts = _cuts(c.weight for c in kept)
-        self.branches = [
-            (
-                c.id,
-                *_outcome_table(alice.outcome_probs(ctx.alice, c.id)),
-                *_outcome_table(bob.outcome_probs(ctx.bob, c.id)),
-            )
-            for c in kept
-        ]
+    @cached_property
+    def records(self) -> tuple[TrialRecord, ...]:
+        """Every trial's record in trial order, built on first access."""
+        cells = self._cells
+        # From a generator, not a list: the tuple then grows alone, so building
+        # it needs no second array of record pointers.
+        return tuple(TrialRecord(i, *cells[code]) for i, code in enumerate(self._codes))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExperimentRun):
+            return NotImplemented
+        return self.empirical == other.empirical and self.records == other.records
+
+
+def _arm(model: Model, ctx: Context, cells: list[_Cell]) -> tuple[list[int], list]:
+    """Pre-pruned inverse-CDF tables for one context of one model.
+
+    Returns the cause thresholds and, for the ``k``-th kept cause, a branch of
+    Alice's outcome thresholds, the code of each of her outcomes' first cell,
+    and Bob's outcome thresholds.  The cells ``(ctx, cause, a, b)`` of the
+    kept outcomes are appended to ``cells`` Bob-fastest, so the code of a
+    trial is its Alice base plus the position of Bob's outcome.
+    """
+    if isinstance(model, NonContextualModel):
+        causes, alice, bob = model.causes, model.alice_response, model.bob_response
+    else:
+        block = model.blocks[ctx]
+        causes, alice, bob = block.causes, block.alice_response, block.bob_response
+    kept = [c for c in causes if c.weight != 0]
+    branches = []
+    for cause in kept:
+        a_row = alice.outcome_probs(ctx.alice, cause.id)
+        b_row = bob.outcome_probs(ctx.bob, cause.id)
+        b_kept = [b for b, p in enumerate(b_row, start=1) if p != 0]
+        bases = []
+        for a, p in enumerate(a_row, start=1):
+            if p != 0:
+                bases.append(len(cells))
+                cells.extend([(ctx, cause.id, a, b) for b in b_kept])
+        branches.append(
+            (_cuts([p for p in a_row if p != 0]), bases, _cuts([p for p in b_row if p != 0]))
+        )
+    return _cuts([c.weight for c in kept]), branches
 
 
 def _cuts(weights: Iterable[Prob]) -> list[int]:
@@ -214,38 +251,44 @@ def _cuts(weights: Iterable[Prob]) -> list[int]:
 
     A cumulative weight ``c`` becomes ``ceil(c * 2**53)``, so for the 53-bit
     draw ``m`` the test ``m / 2**53 < c`` is exactly ``m < threshold``.  Weights
-    accumulate in declaration order as the contract says, float sums rounding
-    as floats.  The running maximum keeps the list sorted without changing
-    which entry is the first above ``m``, and the last threshold is raised to
-    ``2**53``, above every draw, so the last entry takes whatever rounding
-    leaves at the top.
+    accumulate in declaration order as the contract says: exactly while they
+    are rational, and from the first float weight on as a float sum, which
+    starts from the rational sum so far rounded to a float, as ``Fraction``
+    addition does.  The running maximum keeps the list sorted without
+    changing which entry is the first above ``m``, and the last threshold is
+    raised to ``2**53``, above every draw, so the last entry takes whatever
+    rounding leaves at the top.
     """
     cuts: list[int] = []
-    acc: Prob = Fraction(0)
+    top = 0
+    num, den = 0, 1  # the exact running sum num/den, not reduced
+    acc: float | None = None  # the float running sum, once a float weight came
     for weight in weights:
-        acc = acc + weight
-        cuts.append(_threshold(acc))
-    cuts = list(accumulate(cuts, max))
+        if acc is None and not isinstance(weight, float):
+            p, q = weight.numerator, weight.denominator
+            if q == den:
+                num += p
+            else:
+                g = math.gcd(den, q)
+                num = num * (q // g) + p * (den // g)
+                den = den // g * q
+            cut = -((-num << 53) // den)
+        else:
+            acc = (num / den if acc is None else acc) + float(weight)
+            cut = _threshold(acc)
+        if cut > top:
+            top = cut
+        cuts.append(top)
     cuts[-1] = 1 << 53
     return cuts
 
 
 def _threshold(value: Prob) -> int:
     """``ceil(value * 2**53)``, exact for rational and float ``value``."""
-    c = Fraction(value)
-    return -((-c.numerator << 53) // c.denominator)
-
-
-def _outcome_table(row: Sequence[Prob]) -> tuple[list[int], list[int]]:
-    outcomes = [index for index, p in enumerate(row, start=1) if p != 0]
-    return _cuts(p for p in row if p != 0), outcomes
-
-
-def _grid(scenario: Scenario, ctx: Context) -> list[list[int]]:
-    return [
-        [0] * scenario.bob_outcomes[ctx.bob]
-        for _ in range(scenario.alice_outcomes[ctx.alice])
-    ]
+    if isinstance(value, float):
+        # Scaling by a power of two is exact for every float below 2**970.
+        return math.ceil(value * 9007199254740992.0)
+    return -((-value.numerator << 53) // value.denominator)
 
 
 # mix(draw ^ K2) for draw indices 0-3: the last key component of every word.
@@ -253,31 +296,35 @@ _DRAW_KEYS = tuple(_mix64(draw ^ _K2) for draw in range(4))
 
 
 def _sample(
-    arms: Sequence[_Arm],
+    model: Model,
     contexts: Sequence[Context],
-    grids: Sequence[list[list[int]]],
     seed: int,
     indices: range,
     kind: str,
     fixed: int = 0,
-) -> list[TrialRecord]:
-    """The one sampling kernel: a record per trial, each also counted in ``grids``.
+) -> tuple[list[_Cell], array]:
+    """The one sampling kernel: the cells of ``contexts`` and a cell code per trial.
 
-    ``arms``, ``contexts`` and ``grids`` are parallel, indexed by context
-    position: ``fixed`` under the fixed schedule, ``i % len(contexts)`` under
-    cycle, the draw-0 pick under uniform.  Each word is ``keyed_word(seed, i,
-    draw)`` with the fixed parts hoisted: ``mix(seed ^ K0)`` once per call,
-    the trial key once per trial and ``mix(draw ^ K2)`` from ``_DRAW_KEYS``,
-    so each draw is one ``mix``, written out inline.
+    The context of trial ``i`` is ``contexts[fixed]`` under the fixed
+    schedule, ``contexts[i % len(contexts)]`` under cycle and the draw-0
+    pick under uniform.  Each word is ``keyed_word(seed, i, draw)`` with the
+    fixed parts hoisted: ``mix(seed ^ K0)`` once per call, the trial key
+    once per trial and ``mix(draw ^ K2)`` from ``_DRAW_KEYS``, so each draw
+    is one ``mix``, written out inline.  Codes are stored in the narrowest
+    array type that holds every cell index.
     """
+    cells: list[_Cell] = []
+    arms = [_arm(model, ctx, cells) for ctx in contexts]
+    typecode = next(t for t in "BHIQ" if len(cells) <= 256 ** array(t).itemsize)
+    codes = array(typecode)
+    append = codes.append
     n_ctx = len(contexts)
     uniform = kind == "uniform"
     cycle = kind == "cycle"
     mask, k1, c1, c2 = _MASK64, _K1, _C1, _C2
     d0, d1, d2, d3 = _DRAW_KEYS
     run_key = _mix64((seed & mask) ^ _K0)
-    records: list[TrialRecord] = []
-    append = records.append
+    cause_cuts, branches = arms[fixed]
     for i in indices:
         x = (i & mask) ^ k1
         x = ((x ^ (x >> 30)) * c1) & mask
@@ -290,29 +337,24 @@ def _sample(
             x = key ^ d0
             x = ((x ^ (x >> 30)) * c1) & mask
             x = ((x ^ (x >> 27)) * c2) & mask
-            pos = int(((x ^ (x >> 31)) >> 11) * 2.0**-53 * n_ctx)
+            cause_cuts, branches = arms[int(((x ^ (x >> 31)) >> 11) * 2.0**-53 * n_ctx)]
         elif cycle:
-            pos = i % n_ctx
-        else:
-            pos = fixed
-        arm = arms[pos]
+            cause_cuts, branches = arms[i % n_ctx]
         x = key ^ d1
         x = ((x ^ (x >> 30)) * c1) & mask
         x = ((x ^ (x >> 27)) * c2) & mask
-        cause_id, a_cuts, a_outcomes, b_cuts, b_outcomes = arm.branches[
-            bisect_right(arm.cause_cuts, (x ^ (x >> 31)) >> 11)
-        ]
+        a_cuts, a_bases, b_cuts = branches[bisect_right(cause_cuts, (x ^ (x >> 31)) >> 11)]
         x = key ^ d2
         x = ((x ^ (x >> 30)) * c1) & mask
         x = ((x ^ (x >> 27)) * c2) & mask
-        a = a_outcomes[bisect_right(a_cuts, (x ^ (x >> 31)) >> 11)]
-        x = key ^ d3
-        x = ((x ^ (x >> 30)) * c1) & mask
-        x = ((x ^ (x >> 27)) * c2) & mask
-        b = b_outcomes[bisect_right(b_cuts, (x ^ (x >> 31)) >> 11)]
-        append(TrialRecord(i, contexts[pos], cause_id, a, b))
-        grids[pos][a - 1][b - 1] += 1
-    return records
+        y = key ^ d3
+        y = ((y ^ (y >> 30)) * c1) & mask
+        y = ((y ^ (y >> 27)) * c2) & mask
+        append(
+            a_bases[bisect_right(a_cuts, (x ^ (x >> 31)) >> 11)]
+            + bisect_right(b_cuts, (y ^ (y >> 31)) >> 11)
+        )
+    return cells, codes
 
 
 def sample_trial(
@@ -324,21 +366,15 @@ def sample_trial(
     context; repeated calls return the identical record.
     """
     validate_model(model)
-    scenario = model.scenario
-    if context not in scenario.contexts():
+    if context not in model.scenario.contexts():
         raise SamplerError(
             f"model has no context ({context.alice},{context.bob})",
             code="BAD_PLAN",
         )
-    (record,) = _sample(
-        [_Arm(model, context)],
-        [context],
-        [_grid(scenario, context)],
-        seed,
-        range(trial_index, trial_index + 1),
-        "fixed",
+    cells, (code,) = _sample(
+        model, [context], seed, range(trial_index, trial_index + 1), "fixed"
     )
-    return record
+    return TrialRecord(trial_index, *cells[code])
 
 
 def run_experiment(model: Model, plan: ExperimentPlan) -> ExperimentRun:
@@ -361,25 +397,28 @@ def run_experiment(model: Model, plan: ExperimentPlan) -> ExperimentRun:
                 code="BAD_PLAN",
             )
         fixed = contexts.index(schedule.context)
-    grids = [_grid(scenario, ctx) for ctx in contexts]
-    records = _sample(
-        [_Arm(model, ctx) for ctx in contexts],
-        contexts,
-        grids,
-        plan.seed,
-        range(plan.trials),
-        schedule.kind,
-        fixed,
+    cells, codes = _sample(
+        model, contexts, plan.seed, range(plan.trials), schedule.kind, fixed
     )
+    grids = {
+        ctx: [
+            [0] * scenario.bob_outcomes[ctx.bob]
+            for _ in range(scenario.alice_outcomes[ctx.alice])
+        ]
+        for ctx in contexts
+    }
+    for code, n in Counter(codes).items():
+        ctx, _, a, b = cells[code]
+        grids[ctx][a - 1][b - 1] += n
     empirical = EmpiricalBehavior(
         scenario,
         {
             ctx: tuple(tuple(row) for row in grid)
-            for ctx, grid in zip(contexts, grids)
+            for ctx, grid in grids.items()
             if any(v for row in grid for v in row)
         },
     )
-    return ExperimentRun(empirical, tuple(records))
+    return ExperimentRun(empirical, cells, codes)
 
 
 def empirical_deviation(empirical: EmpiricalBehavior, behavior: Behavior) -> Prob:

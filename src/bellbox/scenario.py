@@ -88,6 +88,13 @@ class Scenario:
                     f"every setting needs at least 2 outcomes, got {counts}",
                     code="SCENARIO_SHAPE",
                 )
+        # Built once; not a field, so equality, hashing and repr ignore it.
+        contexts = [
+            Context(x, y)
+            for x in range(len(self.alice_settings))
+            for y in range(len(self.bob_settings))
+        ]
+        object.__setattr__(self, "_contexts", tuple(contexts))
 
     @staticmethod
     def binary(
@@ -121,11 +128,7 @@ class Scenario:
 
     def contexts(self) -> tuple["Context", ...]:
         """All joint-setting pairs, ordered lexicographically by index."""
-        return tuple(
-            Context(x, y)
-            for x in range(len(self.alice_settings))
-            for y in range(len(self.bob_settings))
-        )
+        return self._contexts
 
     def is_two_by_two(self) -> bool:
         """Two settings per party, two outcomes everywhere."""

@@ -1,6 +1,7 @@
 """Scenario, behavior validation, marginals, expectations, mixtures."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,21 @@ class TestScenario:
     def test_contexts_are_lexicographic(self):
         ctxs = STANDARD_SCENARIO.contexts()
         assert ctxs == (Context(0, 0), Context(0, 1), Context(1, 0), Context(1, 1))
+
+    def test_contexts_are_built_once(self):
+        scenario = Scenario(("A", "A'", "A''"), ("B", "B'"), (2, 3, 2), (2, 2))
+        ctxs = scenario.contexts()
+        assert ctxs is scenario.contexts()
+        assert ctxs == tuple(sorted(ctxs))
+        assert ctxs == tuple(Context(x, y) for x in range(3) for y in range(2))
+        twin = Scenario(("A", "A'", "A''"), ("B", "B'"), (2, 3, 2), (2, 2))
+        assert twin == scenario and hash(twin) == hash(scenario)
+        assert repr(twin) == repr(scenario)
+        assert scenario != Scenario(("A", "A'", "A''"), ("B", "B'"), (2, 2, 2), (2, 2))
+        wider = replace(scenario, bob_settings=("B", "B'", "B''"), bob_outcomes=(2, 2, 2))
+        assert wider.contexts() == tuple(
+            Context(x, y) for x in range(3) for y in range(3)
+        )
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ScenarioShapeError) as exc:

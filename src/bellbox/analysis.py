@@ -9,6 +9,7 @@ functional, so both the positive and negative cases are checkable.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,6 +28,8 @@ from .scenario import (
     Context,
     Prob,
     Scenario,
+    _marginal_table,
+    exact_sum,
     expectation,
     marginals,
     require_valid,
@@ -62,6 +65,9 @@ def chsh_arrangements() -> tuple[Arrangement, ...]:
     return tuple(sorted(odd, key=arrangement_str))
 
 
+_ARRANGEMENTS = chsh_arrangements()
+
+
 def _require_two_by_two(scenario: Scenario) -> None:
     if not scenario.is_two_by_two():
         raise ScenarioShapeError(
@@ -74,32 +80,45 @@ def chsh_value(behavior: Behavior, arrangement: Arrangement) -> Prob:
     """Signed sum of the four context expectations, contexts in lexicographic order."""
     _require_two_by_two(behavior.scenario)
     contexts = behavior.scenario.contexts()
-    total: Prob = Fraction(0)
-    for sign, ctx in zip(arrangement, contexts):
-        total = total + sign * expectation(behavior, ctx)
-    return total
+    return exact_sum([sign * expectation(behavior, ctx) for sign, ctx in zip(arrangement, contexts)])
 
 
-def chsh_max(behavior: Behavior) -> tuple[Prob, Arrangement]:
-    """Maximum |CHSH| over the 8 arrangements, ties broken by sign-string order."""
-    best: Prob | None = None
-    best_arrangement: Arrangement | None = None
-    for arrangement in chsh_arrangements():
-        value = abs(chsh_value(behavior, arrangement))
-        if best is None or value > best:
-            best = value
-            best_arrangement = arrangement
-    assert best is not None and best_arrangement is not None
-    return best, best_arrangement
+def chsh_max(
+    behavior: Behavior, *, _correlators: Sequence[Prob] | None = None
+) -> tuple[Prob, Arrangement]:
+    """Maximum |CHSH| over the 8 arrangements, ties broken by sign-string order.
+
+    The four correlators are computed once (``classify`` passes its own).
+    Exact ones are compared as integer numerators over one denominator;
+    otherwise each arrangement is summed from ``Fraction(0)`` in context
+    order, as ``chsh_value`` does, so float results are the same bits.
+    """
+    _require_two_by_two(behavior.scenario)
+    if _correlators is None:
+        _correlators = [expectation(behavior, ctx) for ctx in behavior.scenario.contexts()]
+    exact = all(isinstance(e, (int, Fraction)) for e in _correlators)
+    if exact:
+        den = math.lcm(*[e.denominator for e in _correlators])
+        nums = [e.numerator * (den // e.denominator) for e in _correlators]
+        values = [abs(sum([s * n for s, n in zip(arr, nums)])) for arr in _ARRANGEMENTS]
+    else:
+        values = [abs(exact_sum([s * e for s, e in zip(arr, _correlators)])) for arr in _ARRANGEMENTS]
+    best = 0
+    for k, value in enumerate(values):
+        if value > values[best]:
+            best = k
+    value = Fraction(values[best], den) if exact else values[best]
+    return value, _ARRANGEMENTS[best]
 
 
-def nosignaling_residual(behavior: Behavior) -> Prob:
+def nosignaling_residual(behavior: Behavior, *, _valid: bool = False) -> Prob:
     """Largest marginal shift any party can detect across co-party settings.
 
     Zero (exactly, for exact tables) iff the behavior satisfies the
-    no-signaling conditions.
+    no-signaling conditions.  ``classify`` passes ``_valid`` for a behavior
+    it has just validated.
     """
-    table = marginals(behavior)
+    table = _marginal_table(behavior) if _valid else marginals(behavior)
     scenario = behavior.scenario
     residual: Prob = Fraction(0)
     for party, own_count, co_count in (
@@ -162,6 +181,22 @@ def strategy_behavior(scenario: Scenario, strategy: DeterministicStrategy) -> Be
     return Behavior(scenario, table)
 
 
+@functools.lru_cache(maxsize=16)
+def _polytope(scenario: Scenario) -> tuple:
+    """Strategies, entry keys in canonical order, and their 0/1 incidence rows
+    followed by the all-ones weight row; immutable, so callers share them."""
+    strategies = enumerate_strategies(scenario)
+    keys = [
+        (ctx, a, b)
+        for ctx in scenario.contexts()
+        for a in range(1, scenario.alice_outcomes[ctx.alice] + 1)
+        for b in range(1, scenario.bob_outcomes[ctx.bob] + 1)
+    ]
+    rows = [tuple([int(s.hits(ctx, a, b)) for s in strategies]) for ctx, a, b in keys]
+    rows.append(tuple([1] * len(strategies)))
+    return strategies, tuple(keys), tuple(rows)
+
+
 @dataclass(frozen=True)
 class LocalDecomposition:
     """Convex combination of deterministic strategies reproducing a behavior."""
@@ -172,30 +207,29 @@ class LocalDecomposition:
     def to_behavior(self) -> Behavior:
         """The mixture: each entry is the total weight of the strategies hitting it.
 
-        Weights must be non-negative and sum to 1, as for ``mix``.
+        Weights must be non-negative and sum to 1, as for ``mix``.  Every
+        entry is summed afresh, in strategy order, with ``exact_sum``.
         """
         weights = [w for _, w in self.weights]
         if any(w < 0 for w in weights):
             raise MixtureError(f"negative weight in {weights}", code="BAD_WEIGHTS")
-        total = sum(weights, Fraction(0))
+        total = exact_sum(weights)
         if total != 1:
             raise MixtureError(f"weights sum to {total}, expected 1", code="BAD_WEIGHTS")
         scenario = self.scenario
         contexts = scenario.contexts()
-        grids = {
+        hits: dict[Context, list[list[list[Prob]]]] = {
             ctx: [
-                [Fraction(0)] * scenario.bob_outcomes[ctx.bob]
+                [[] for _ in range(scenario.bob_outcomes[ctx.bob])]
                 for _ in range(scenario.alice_outcomes[ctx.alice])
             ]
             for ctx in contexts
         }
         for strategy, weight in self.weights:
             for ctx in contexts:
-                grid = grids[ctx]
-                a = strategy.alice[ctx.alice] - 1
-                b = strategy.bob[ctx.bob] - 1
-                grid[a][b] += weight
-        return Behavior(scenario, {ctx: tuple(map(tuple, g)) for ctx, g in grids.items()})
+                hits[ctx][strategy.alice[ctx.alice] - 1][strategy.bob[ctx.bob] - 1].append(weight)
+        table = {ctx: tuple([tuple([exact_sum(c) for c in row]) for row in grid]) for ctx, grid in hits.items()}
+        return Behavior(scenario, table)
 
 
 @dataclass(frozen=True)
@@ -214,20 +248,19 @@ class InfeasibilityCertificate:
     local_bound: Fraction
 
     def evaluate(self, behavior: Behavior) -> Prob:
-        total: Prob = Fraction(0)
-        for ctx, a, b, value in behavior.entries():
-            coeff = self.coefficients.get((ctx, a, b), Fraction(0))
-            if coeff != 0:
-                total = total + coeff * value
-        return total
+        coefficients = self.coefficients
+        terms = [
+            coeff * value
+            for ctx, a, b, value in behavior.entries()
+            if (coeff := coefficients.get((ctx, a, b), 0)) != 0
+        ]
+        return exact_sum(terms)
 
     def strategy_bound(self) -> Fraction:
+        items = list(self.coefficients.items())
         best: Fraction | None = None
-        for strategy in enumerate_strategies(self.scenario):
-            value = Fraction(0)
-            for (ctx, a, b), coeff in self.coefficients.items():
-                if strategy.hits(ctx, a, b):
-                    value += coeff
+        for strategy in _polytope(self.scenario)[0]:
+            value = exact_sum([coeff for (ctx, a, b), coeff in items if strategy.hits(ctx, a, b)])
             if best is None or value > best:
                 best = value
         assert best is not None
@@ -275,7 +308,7 @@ def _snap_behavior(behavior: Behavior) -> tuple[Behavior, float]:
             ]
             for row in behavior.table[ctx]
         ]
-        total = sum(v for row in rows for v in row)
+        total = exact_sum([v for row in rows for v in row])
         if abs(float(total) - 1.0) > SIGNALING_ATOL:
             raise MembershipError(
                 f"context {ctx.label(scenario)} sums to {float(total)!r}; "
@@ -290,33 +323,32 @@ def _snap_behavior(behavior: Behavior) -> tuple[Behavior, float]:
     return Behavior(scenario, table), snap_error
 
 
-def local_membership(behavior: Behavior) -> MembershipResult:
+def local_membership(behavior: Behavior, *, _valid: bool = False) -> MembershipResult:
     """Decide whether the behavior mixes from deterministic strategies.
 
     The feasibility system asks for weights w >= 0 over the 16 strategies
     with the strategy indicators reproducing every table entry and the
     weights summing to 1.  Solved in exact rational arithmetic; floating
-    input is snapped first (see ``MembershipResult.tested``).
+    input is snapped first (see ``MembershipResult.tested``).  ``classify``
+    passes ``_valid`` for a behavior it has just validated.
     """
     _require_two_by_two(behavior.scenario)
     if behavior.exact:
-        require_valid(behavior)
+        if not _valid:
+            require_valid(behavior)
         tested, snap_error = behavior, 0.0
     else:
         # Floating input gets the membership tolerance, not the stricter
         # behavior invariant: every other check still runs on every context,
         # but normalization is enforced by the snap step below.
-        result = validate_behavior(behavior, normalized=False)
-        if not result.ok:
-            raise InvalidBehaviorError(result.message, code=result.code or "INTERNAL")
+        if not _valid:
+            result = validate_behavior(behavior, normalized=False)
+            if not result.ok:
+                raise InvalidBehaviorError(result.message, code=result.code or "INTERNAL")
         tested, snap_error = _snap_behavior(behavior)
     scenario = tested.scenario
-    strategies = enumerate_strategies(scenario)
-    entry_keys = [(ctx, a, b) for ctx, a, b, _ in tested.entries()]
-
-    matrix = [[int(s.hits(ctx, a, b)) for s in strategies] for ctx, a, b in entry_keys]
-    rhs = [Fraction(tested.prob(ctx, a, b)) for ctx, a, b in entry_keys]
-    matrix.append([1] * len(strategies))
+    strategies, entry_keys, matrix = _polytope(scenario)
+    rhs = [v for ctx in scenario.contexts() for row in tested.table[ctx] for v in row]
     rhs.append(Fraction(1))
 
     # The proof checks below guard the solver: they raise, never assert, so
@@ -357,17 +389,18 @@ def local_membership(behavior: Behavior) -> MembershipResult:
 
 def _build_certificate(
     tested: Behavior,
-    entry_keys: list[tuple[Context, int, int]],
+    entry_keys: Sequence[tuple[Context, int, int]],
     farkas: tuple[Fraction, ...],
 ) -> InfeasibilityCertificate:
     # Drop the weight-normalization row and rescale to an integer
     # functional; scaling by a positive constant preserves the separation.
+    # Each c * lcm(denominators) / gcd(numerators) is an integer.
     coeffs = list(farkas[: len(entry_keys)])
     denominators = [c.denominator for c in coeffs if c != 0]
-    numerators = [abs(c.numerator) for c in coeffs if c != 0]
+    numerators = [c.numerator for c in coeffs if c != 0]
     if numerators:
-        scale = Fraction(math.lcm(*denominators), math.gcd(*numerators))
-        coeffs = [c * scale for c in coeffs]
+        lcm, gcd = math.lcm(*denominators), math.gcd(*numerators)
+        coeffs = [Fraction(c.numerator * (lcm // c.denominator) // gcd) for c in coeffs]
     coefficients = {
         key: coeff for key, coeff in zip(entry_keys, coeffs) if coeff != 0
     }
@@ -414,15 +447,17 @@ def classify(behavior: Behavior) -> AnalysisReport:
 
     A behavior is SIGNALING when its marginal residual is nonzero (above
     ``SIGNALING_ATOL`` for floating tables); otherwise LOCAL exactly when the
-    membership test finds a decomposition, else NONLOCAL_NOSIGNALING.
+    membership test finds a decomposition, else NONLOCAL_NOSIGNALING.  The
+    behavior is validated once, here; the CHSH maximum reuses the
+    expectations.
     """
     require_valid(behavior)
     _require_two_by_two(behavior.scenario)
     expectations = tuple(
-        expectation(behavior, ctx) for ctx in behavior.scenario.contexts()
+        [expectation(behavior, ctx) for ctx in behavior.scenario.contexts()]
     )
-    best, best_arrangement = chsh_max(behavior)
-    residual = nosignaling_residual(behavior)
+    best, best_arrangement = chsh_max(behavior, _correlators=expectations)
+    residual = nosignaling_residual(behavior, _valid=True)
     signaling = residual > 0 if behavior.exact else residual > SIGNALING_ATOL
     if signaling:
         return AnalysisReport(
@@ -436,7 +471,7 @@ def classify(behavior: Behavior) -> AnalysisReport:
             None,
             0.0,
         )
-    membership = local_membership(behavior)
+    membership = local_membership(behavior, _valid=True)
     classification = (
         Classification.LOCAL if membership.feasible else Classification.NONLOCAL_NOSIGNALING
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -97,11 +96,15 @@ def run_cli(argv: Sequence[str]) -> int:
         return 1
     except BellboxError as exc:
         if exc.code == "INTERNAL":  # a failed proof check, not bad input
+            import traceback  # only internal errors pay for the import
+
             traceback.print_exc()
             return 2
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
     except Exception:  # noqa: BLE001 - internal invariant violation
+        import traceback
+
         traceback.print_exc()
         return 2
     if args.out:

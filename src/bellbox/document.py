@@ -42,10 +42,9 @@ from .models import (
     socks_off,
     socks_on,
 )
-from .scenario import FLOAT_ATOL, Behavior, Context, Prob, Scenario
+from .scenario import Behavior, Context, Prob, Scenario, exact_sum, sums_to_one
 
 FORMAT_VERSION = 1
-FILE_EXTENSION = ".bellbox"
 
 #: Denominator cap when decimal literals are converted to rationals.
 DECIMAL_DENOMINATOR = 10**6
@@ -569,7 +568,7 @@ def _build_behavior(
             for a in range(1, na + 1)
         ]
         line_no, column = cell_pos.get(ctx, (lines[0][0] if lines else 1, 1))
-        total = sum(v for row in grid for v in row)
+        total = exact_sum([v for row in grid for v in row])
         negative = any(v < 0 for row in grid for v in row)
         if negative:
             p.error(
@@ -578,15 +577,12 @@ def _build_behavior(
                 f"UNNORMALIZED: negative probability in behavior rows for "
                 f"context {ctx.label(scenario)}",
             )
-        elif (not as_float and total != 1) or (
-            as_float and abs(total - 1) > FLOAT_ATOL
-        ):
-            shown = total if not as_float else repr(total)
+        elif not sums_to_one(total):
             p.error(
                 line_no,
                 column,
                 f"UNNORMALIZED: behavior rows for context {ctx.label(scenario)} "
-                f"sum to {shown}",
+                f"sum to {total}",
             )
         table[ctx] = tuple(tuple(row) for row in grid)
     if p.has_errors():
@@ -687,7 +683,7 @@ class _CauseAccumulator:
                 f"{counts[setting]} probabilities, got {len(row)}",
             )
             return
-        total = sum(row)
+        total = exact_sum(row)
         if any(v < 0 for v in row) or total != 1:
             self.p.error(
                 line_no,
@@ -713,7 +709,7 @@ class _CauseAccumulator:
         if not self.causes:
             self.p.error(section_line, 1, f"SYNTAX: {self.where} declares no causes")
             return None
-        total = sum(w for _, w, _ in self.causes)
+        total = exact_sum([w for _, w, _ in self.causes])
         if total != 1:
             self.p.error(
                 self.causes[0][2],

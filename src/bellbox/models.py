@@ -27,13 +27,14 @@ from typing import Callable, Sequence, Union
 
 from .errors import ModelError
 from .scenario import (
-    FLOAT_ATOL,
     Behavior,
     Context,
     Party,
     Prob,
     Scenario,
+    exact_sum,
     is_exact,
+    sums_to_one,
 )
 
 Model = Union["NonContextualModel", "ContextualModel"]
@@ -129,21 +130,17 @@ def _check_causes(causes: Sequence[Cause], where: str) -> None:
     ids = [c.id for c in causes]
     if len(set(ids)) != len(ids):
         raise ModelError(f"{where}: duplicate cause ids {ids}", code="MODEL_INVALID")
-    total: Prob = Fraction(0)
-    for cause in causes:
+    weights = [c.weight for c in causes]
+    for k, cause in enumerate(causes):
         if cause.weight < 0:
+            # Summing in order raises first where an earlier weight would.
+            exact_sum(weights[:k])
             raise ModelError(
                 f"{where}: negative weight for cause {cause.id!r}",
                 code="MODEL_INVALID",
             )
-        total = total + cause.weight
-    if all(is_exact(c.weight) for c in causes):
-        if total != 1:
-            raise ModelError(
-                f"{where}: cause weights sum to {total}, expected 1",
-                code="MODEL_INVALID",
-            )
-    elif not math.isfinite(total):
+    total = exact_sum(weights)
+    if not isinstance(total, Fraction) and not math.isfinite(total):
         bad = [
             c.id
             for c in causes
@@ -152,9 +149,9 @@ def _check_causes(causes: Sequence[Cause], where: str) -> None:
         raise ModelError(
             f"{where}: non-finite weight for cause(s) {bad}", code="MODEL_INVALID"
         )
-    elif abs(total - 1) > FLOAT_ATOL:
+    if not sums_to_one(total):
         raise ModelError(
-            f"{where}: cause weights sum to {total!r}, expected 1",
+            f"{where}: cause weights sum to {total}, expected 1",
             code="MODEL_INVALID",
         )
 
@@ -173,31 +170,25 @@ def _check_response_row(
             f"{cause_id!r} has {len(row)} entries, expected {n_outcomes}",
             code="MODEL_INVALID",
         )
-    total: Prob = Fraction(0)
-    for value in row:
+    for k, value in enumerate(row):
         if value < 0:
+            # Summing in order raises first where an earlier entry would.
+            exact_sum(row[:k])
             raise ModelError(
                 f"{where}: negative response probability for cause {cause_id!r}",
                 code="MODEL_INVALID",
             )
-        total = total + value
-    if all(is_exact(v) for v in row):
-        if total != 1:
-            raise ModelError(
-                f"{where}: {response.party} row for setting {setting}, cause "
-                f"{cause_id!r} sums to {total}",
-                code="MODEL_INVALID",
-            )
-    elif not math.isfinite(total):
+    total = exact_sum(row)
+    if not isinstance(total, Fraction) and not math.isfinite(total):
         raise ModelError(
             f"{where}: {response.party} row for setting {setting}, cause "
             f"{cause_id!r} has a non-finite probability: {row!r}",
             code="MODEL_INVALID",
         )
-    elif abs(total - 1) > FLOAT_ATOL:
+    if not sums_to_one(total):
         raise ModelError(
             f"{where}: {response.party} row for setting {setting}, cause "
-            f"{cause_id!r} sums to {total!r}",
+            f"{cause_id!r} sums to {total}",
             code="MODEL_INVALID",
         )
 
@@ -249,56 +240,86 @@ def _product_grid(
     return tuple(tuple(pa * pb for pb in bob_row) for pa in alice_row)
 
 
+def context_causes(
+    model: Model, ctx: Context
+) -> tuple[tuple[Cause, ...], ResponseFunction, ResponseFunction]:
+    """The causes and both responses acting in one context of either family."""
+    if isinstance(model, NonContextualModel):
+        return model.causes, model.alice_response, model.bob_response
+    block = model.blocks[ctx]
+    return block.causes, block.alice_response, block.bob_response
+
+
 def exact_behavior_noncontextual(model: NonContextualModel) -> Behavior:
     """Cause-weighted mixture of per-cause product tables; exact on exact input."""
     validate_noncontextual(model)
-    scenario = model.scenario
-    table: dict[Context, tuple[tuple[Prob, ...], ...]] = {}
-    for ctx in scenario.contexts():
-        na = scenario.alice_outcomes[ctx.alice]
-        nb = scenario.bob_outcomes[ctx.bob]
-        cells = [[Fraction(0) for _ in range(nb)] for _ in range(na)]
-        for cause in model.causes:
-            ra = model.alice_response.outcome_probs(ctx.alice, cause.id)
-            rb = model.bob_response.outcome_probs(ctx.bob, cause.id)
-            for a in range(na):
-                if ra[a] == 0:
-                    continue
-                wa = cause.weight * ra[a]
-                for b in range(nb):
-                    cells[a][b] = cells[a][b] + wa * rb[b]
-        table[ctx] = tuple(tuple(row) for row in cells)
-    return Behavior(scenario, table)
+    return _mixture_table(model)
 
 
 def exact_behavior_contextual(model: ContextualModel) -> Behavior:
     """Per-context cause mixtures; each context uses its own cause set."""
     validate_contextual(model)
-    scenario = model.scenario
-    table: dict[Context, tuple[tuple[Prob, ...], ...]] = {}
-    for ctx in scenario.contexts():
-        block = model.blocks[ctx]
-        na = scenario.alice_outcomes[ctx.alice]
-        nb = scenario.bob_outcomes[ctx.bob]
-        cells = [[Fraction(0) for _ in range(nb)] for _ in range(na)]
-        for cause in block.causes:
-            ra = block.alice_response.outcome_probs(ctx.alice, cause.id)
-            rb = block.bob_response.outcome_probs(ctx.bob, cause.id)
-            for a in range(na):
-                if ra[a] == 0:
-                    continue
-                wa = cause.weight * ra[a]
-                for b in range(nb):
-                    cells[a][b] = cells[a][b] + wa * rb[b]
-        table[ctx] = tuple(tuple(row) for row in cells)
-    return Behavior(scenario, table)
+    return _mixture_table(model)
 
 
 def exact_behavior(model: Model) -> Behavior:
-    """Dispatch to the right exact-behavior computation for the model family."""
-    if isinstance(model, NonContextualModel):
-        return exact_behavior_noncontextual(model)
-    return exact_behavior_contextual(model)
+    """Validate a model of either family and compute its joint table.
+
+    Entry ``(a, b)`` of a context is the sum over its causes of
+    ``weight * alice_row[a] * bob_row[b]``.  Exact contexts are summed on
+    integers over one common denominator and give the same Fractions as
+    ``Fraction`` arithmetic; contexts with a float add the products in cause
+    order from ``Fraction(0)``, skipping Alice's zero entries.
+    """
+    validate_model(model)
+    return _mixture_table(model)
+
+
+def _mixture_table(model: Model) -> Behavior:
+    scenario = model.scenario
+    table: dict[Context, tuple[tuple[Prob, ...], ...]] = {}
+    for ctx in scenario.contexts():
+        causes, alice, bob = context_causes(model, ctx)
+        terms = [
+            (c.weight, alice.outcome_probs(ctx.alice, c.id), bob.outcome_probs(ctx.bob, c.id))
+            for c in causes
+        ]
+        exact = all(isinstance(v, (int, Fraction)) for w, ra, rb in terms for v in (w, *ra, *rb))
+        grid = _exact_grid if exact else _float_grid
+        table[ctx] = grid(terms, scenario.alice_outcomes[ctx.alice], scenario.bob_outcomes[ctx.bob])
+    return Behavior(scenario, table)
+
+
+def _exact_grid(terms: list, na: int, nb: int) -> tuple[tuple[Fraction, ...], ...]:
+    # Weights, Alice entries and Bob entries each over their own lcm, so
+    # every product is an integer over the product of the three.
+    lw = math.lcm(*[w.denominator for w, _, _ in terms])
+    la = math.lcm(*[v.denominator for _, ra, _ in terms for v in ra])
+    lb = math.lcm(*[v.denominator for _, _, rb in terms for v in rb])
+    cells = [[0] * nb for _ in range(na)]
+    for w, ra, rb in terms:
+        wn = w.numerator * (lw // w.denominator)
+        bn = [v.numerator * (lb // v.denominator) for v in rb]
+        for a, pa in enumerate(ra):
+            if pa:
+                wa = wn * pa.numerator * (la // pa.denominator)
+                row = cells[a]
+                for b, pb in enumerate(bn):
+                    row[b] += wa * pb
+    den = lw * la * lb
+    return tuple([tuple([Fraction(n, den) for n in row]) for row in cells])
+
+
+def _float_grid(terms: list, na: int, nb: int) -> tuple[tuple[Prob, ...], ...]:
+    cells: list[list[Prob]] = [[Fraction(0) for _ in range(nb)] for _ in range(na)]
+    for w, ra, rb in terms:
+        for a in range(na):
+            if ra[a] == 0:
+                continue
+            wa = w * ra[a]
+            for b in range(nb):
+                cells[a][b] = cells[a][b] + wa * rb[b]
+    return tuple(tuple(row) for row in cells)
 
 
 def condition_on_cause(model: NonContextualModel, cause_id: str) -> Behavior:

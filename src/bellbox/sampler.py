@@ -46,7 +46,7 @@ from functools import cached_property
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import SamplerError
-from .models import Model, NonContextualModel, validate_model
+from .models import Model, context_causes, validate_model
 from .scenario import Behavior, Context, Prob, Scenario
 
 _MASK64 = (1 << 64) - 1
@@ -224,11 +224,7 @@ def _arm(model: Model, ctx: Context, cells: list[_Cell]) -> tuple[list[int], lis
     kept outcomes are appended to ``cells`` Bob-fastest, so the code of a
     trial is its Alice base plus the position of Bob's outcome.
     """
-    if isinstance(model, NonContextualModel):
-        causes, alice, bob = model.causes, model.alice_response, model.bob_response
-    else:
-        block = model.blocks[ctx]
-        causes, alice, bob = block.causes, block.alice_response, block.bob_response
+    causes, alice, bob = context_causes(model, ctx)
     kept = [c for c in causes if c.weight != 0]
     branches = []
     for cause in kept:

@@ -30,6 +30,46 @@ def is_exact(value: Prob) -> bool:
     return isinstance(value, (Fraction, int))
 
 
+_ONE = Fraction(1)
+
+
+def exact_sum(values: Iterable[Prob]) -> Prob:
+    """``Fraction(0) + v1 + v2 + ...`` in order, computed on integers.
+
+    Exact values (ints and Fractions) are summed as one numerator over a
+    common denominator, and one Fraction is built at the end.  The first
+    other value continues the sum as ``Fraction`` addition does: a float
+    starts a float sum from the rational sum so far rounded to a float.
+    Values, types and raised errors equal those of the ``Fraction`` loop.
+    """
+    num, den = 0, 1  # the exact running sum num/den, not reduced
+    values = iter(values)
+    for value in values:
+        if isinstance(value, (int, Fraction)):
+            p, q = value.numerator, value.denominator
+            if q == den:
+                num += p
+            else:
+                g = math.gcd(den, q)
+                num = num * (q // g) + p * (den // g)
+                den = den // g * q
+            continue
+        # int / int rounds once, as ``float(Fraction(num, den))`` does.
+        total = num / den + value if isinstance(value, float) else Fraction(num, den) + value
+        for value in values:
+            total = total + value
+        return total
+    return _ONE if num == den else Fraction(num, den)
+
+
+def sums_to_one(total: Prob) -> bool:
+    """The normalization rule: an exact total is 1, a float one within ``FLOAT_ATOL``.
+
+    A NaN float total passes; callers that must reject it check first.
+    """
+    return total == 1 if isinstance(total, Fraction) else not abs(total - 1) > FLOAT_ATOL
+
+
 def outcome_sign(index: int) -> int:
     """Signed value of a two-outcome measurement: index 1 is +1, index 2 is -1.
 
@@ -107,10 +147,6 @@ class Scenario:
             (2,) * len(alice_settings),
             (2,) * len(bob_settings),
         )
-
-    @property
-    def party_count(self) -> int:
-        return 2
 
     def settings(self, party: Party) -> tuple[str, ...]:
         return self.alice_settings if party == "alice" else self.bob_settings
@@ -234,43 +270,28 @@ def validate_behavior(behavior: Behavior, *, normalized: bool = True) -> Validat
                 ctx,
                 f"table for context {label} is not {na}x{nb}",
             )
-        total: Prob = Fraction(0)
-        all_exact = True
-        for row in rows:
-            for value in row:
-                exact = is_exact(value)
-                if not exact and not math.isfinite(value):
-                    return Validation(
-                        False,
-                        "NON_FINITE_ENTRY",
-                        ctx,
-                        f"non-finite probability {value} in context {label}",
-                    )
-                if value < 0:
-                    return Validation(
-                        False,
-                        "NEGATIVE_ENTRY",
-                        ctx,
-                        f"negative probability {value} in context {label}",
-                    )
-                all_exact = all_exact and exact
-                total = total + value
-        if not normalized:
-            continue
-        if all_exact:
-            if total != 1:
-                return Validation(
-                    False,
-                    "UNNORMALIZED_CONTEXT",
-                    ctx,
-                    f"context {label} sums to {total}, expected 1",
-                )
-        elif abs(total - 1) > FLOAT_ATOL:
+        values = [value for row in rows for value in row]
+        for k, value in enumerate(values):
+            if not is_exact(value) and not math.isfinite(value):
+                code, problem = "NON_FINITE_ENTRY", "non-finite"
+            elif value < 0:
+                code, problem = "NEGATIVE_ENTRY", "negative"
+            else:
+                continue
+            # Summing in entry order raises (a sum beyond float range meeting
+            # a float) before a later entry is checked; keep that order.
+            exact_sum(values[:k])
+            return Validation(
+                False, code, ctx, f"{problem} probability {value} in context {label}"
+            )
+        total = exact_sum(values)
+        if normalized and not sums_to_one(total):
+            within = "" if isinstance(total, Fraction) else f" within {FLOAT_ATOL}"
             return Validation(
                 False,
                 "UNNORMALIZED_CONTEXT",
                 ctx,
-                f"context {label} sums to {total!r}, expected 1 within {FLOAT_ATOL}",
+                f"context {label} sums to {total}, expected 1{within}",
             )
     return Validation(True)
 
@@ -303,26 +324,21 @@ class MarginalTable:
 def marginals(behavior: Behavior) -> MarginalTable:
     """Marginal distributions of a valid behavior; exact on exact input."""
     require_valid(behavior)
+    return _marginal_table(behavior)
+
+
+def _marginal_table(behavior: Behavior) -> MarginalTable:
+    """``marginals`` of a behavior already known to be valid."""
     scenario = behavior.scenario
     rows: dict[tuple[Party, int, int], tuple[Prob, ...]] = {}
     for ctx in scenario.contexts():
         grid = behavior.table[ctx]
-        na = scenario.alice_outcomes[ctx.alice]
         nb = scenario.bob_outcomes[ctx.bob]
-        rows[("alice", ctx.alice, ctx.bob)] = tuple(
-            _exact_sum(grid[a][b] for b in range(nb)) for a in range(na)
-        )
+        rows[("alice", ctx.alice, ctx.bob)] = tuple([exact_sum(row) for row in grid])
         rows[("bob", ctx.bob, ctx.alice)] = tuple(
-            _exact_sum(grid[a][b] for a in range(na)) for b in range(nb)
+            [exact_sum([row[b] for row in grid]) for b in range(nb)]
         )
     return MarginalTable(scenario, rows)
-
-
-def _exact_sum(values: Iterable[Prob]) -> Prob:
-    total: Prob = Fraction(0)
-    for v in values:
-        total = total + v
-    return total
 
 
 def expectation(behavior: Behavior, context: Context) -> Prob:
@@ -363,12 +379,9 @@ def mix(components: Sequence[tuple[Prob, Behavior]]) -> Behavior:
         if weight < 0:
             raise MixtureError(f"negative weight {weight}", code="BAD_WEIGHTS")
         weights.append(Fraction(weight) if isinstance(weight, int) else weight)
-    total = _exact_sum(weights)
-    if all(is_exact(w) for w in weights):
-        if total != 1:
-            raise MixtureError(f"weights sum to {total}, expected 1", code="BAD_WEIGHTS")
-    elif abs(total - 1) > FLOAT_ATOL:
-        raise MixtureError(f"weights sum to {total!r}, expected 1", code="BAD_WEIGHTS")
+    total = exact_sum(weights)
+    if not sums_to_one(total):
+        raise MixtureError(f"weights sum to {total}, expected 1", code="BAD_WEIGHTS")
 
     table: dict[Context, tuple[tuple[Prob, ...], ...]] = {}
     for ctx in scenario.contexts():
@@ -376,7 +389,7 @@ def mix(components: Sequence[tuple[Prob, Behavior]]) -> Behavior:
         nb = scenario.bob_outcomes[ctx.bob]
         table[ctx] = tuple(
             tuple(
-                _exact_sum(
+                exact_sum(
                     w * comp.table[ctx][a][b]
                     for w, (_, comp) in zip(weights, components)
                 )

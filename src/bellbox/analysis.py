@@ -32,6 +32,7 @@ from .scenario import (
     exact_sum,
     expectation,
     marginals,
+    printable,
     require_valid,
     validate_behavior,
 )
@@ -212,10 +213,12 @@ class LocalDecomposition:
         """
         weights = [w for _, w in self.weights]
         if any(w < 0 for w in weights):
-            raise MixtureError(f"negative weight in {weights}", code="BAD_WEIGHTS")
+            raise MixtureError(f"negative weight in {printable(weights)}", code="BAD_WEIGHTS")
         total = exact_sum(weights)
         if total != 1:
-            raise MixtureError(f"weights sum to {total}, expected 1", code="BAD_WEIGHTS")
+            raise MixtureError(
+                f"weights sum to {printable(total)}, expected 1", code="BAD_WEIGHTS"
+            )
         scenario = self.scenario
         contexts = scenario.contexts()
         hits: dict[Context, list[list[list[Prob]]]] = {
@@ -257,9 +260,18 @@ class InfeasibilityCertificate:
         return exact_sum(terms)
 
     def strategy_bound(self) -> Fraction:
+        strategies, entry_keys, _ = _polytope(self.scenario)
+        known = set(entry_keys)
+        for key in self.coefficients:
+            if key not in known:
+                raise ScenarioShapeError(
+                    f"certificate coefficient for {printable(key)} is not an entry "
+                    "of the scenario",
+                    code="SCENARIO_SHAPE",
+                )
         items = list(self.coefficients.items())
         best: Fraction | None = None
-        for strategy in _polytope(self.scenario)[0]:
+        for strategy in strategies:
             value = exact_sum([coeff for (ctx, a, b), coeff in items if strategy.hits(ctx, a, b)])
             if best is None or value > best:
                 best = value

@@ -172,10 +172,6 @@ def _fmt(value: Prob, decimal: bool = False) -> str:
     return f"{value:.12g}"
 
 
-def _ctx_label(scenario: Scenario, ctx: Context) -> str:
-    return ctx.label(scenario)
-
-
 def _behavior_table(behavior: Behavior, decimal: bool) -> list[str]:
     scenario = behavior.scenario
     groups: dict[tuple[int, int], list[tuple[str, list[str]]]] = {}
@@ -187,7 +183,7 @@ def _behavior_table(behavior: Behavior, decimal: bool) -> list[str]:
             for a in range(1, na + 1)
             for b in range(1, nb + 1)
         ]
-        groups.setdefault((na, nb), []).append((_ctx_label(scenario, ctx), values))
+        groups.setdefault((na, nb), []).append((ctx.label(scenario), values))
 
     lines = []
     for (na, nb), rows in groups.items():
@@ -238,15 +234,12 @@ def _cmd_show(args: argparse.Namespace, doc: document.ModelDocument) -> str:
     return document.serialize_document(doc)
 
 
-def _behavior_document(doc: document.ModelDocument) -> document.ModelDocument:
-    behavior = doc.to_behavior()
-    return document.ModelDocument(scenario=behavior.scenario, behavior=behavior)
-
-
 def _cmd_exact(args: argparse.Namespace, doc: document.ModelDocument) -> str:
     behavior = doc.to_behavior()
     if args.output == "machine":
-        return document.serialize_document(_behavior_document(doc))
+        return document.serialize_document(
+            document.ModelDocument(scenario=behavior.scenario, behavior=behavior)
+        )
     scenario = behavior.scenario
     lines = [f"behavior of {doc.name or args.input} ({doc.kind})"]
     lines.extend(_behavior_table(behavior, args.decimal))
@@ -254,7 +247,7 @@ def _cmd_exact(args: argparse.Namespace, doc: document.ModelDocument) -> str:
         lines.append("expectations:")
         for ctx in scenario.contexts():
             lines.append(
-                f"E{_ctx_label(scenario, ctx)} = "
+                f"E{ctx.label(scenario)} = "
                 f"{_fmt(expectation(behavior, ctx), args.decimal)}"
             )
     return "\n".join(lines) + "\n"
@@ -417,7 +410,7 @@ def _cmd_classify(args: argparse.Namespace, doc: document.ModelDocument) -> str:
         )
         lines.append(f"residual = {_fmt(report.nosignaling_residual)}")
         for ctx, value in zip(contexts, report.expectations):
-            lines.append(f"expectation {_ctx_label(scenario, ctx)} = {_fmt(value)}")
+            lines.append(f"expectation {ctx.label(scenario)} = {_fmt(value)}")
         if report.snap_error:
             lines.append(f"snap_error = {report.snap_error:.12g}")
         if report.decomposition is not None:
@@ -428,7 +421,7 @@ def _cmd_classify(args: argparse.Namespace, doc: document.ModelDocument) -> str:
     lines = [f"classification: {report.classification.value}"]
     lines.append("expectations:")
     for ctx, value in zip(contexts, report.expectations):
-        lines.append(f"  E{_ctx_label(scenario, ctx)} = {_fmt(value, args.decimal)}")
+        lines.append(f"  E{ctx.label(scenario)} = {_fmt(value, args.decimal)}")
     lines.append(
         f"max |CHSH| = {_fmt(report.chsh_max, args.decimal)}  "
         f"(arrangement {analysis.arrangement_str(report.chsh_arrangement)})"
@@ -512,7 +505,7 @@ def _cmd_sample(args: argparse.Namespace, doc: document.ModelDocument) -> str:
     for ctx in sampled:
         total = run.empirical.total(ctx)
         freqs = run.empirical.frequencies(ctx)
-        label = _ctx_label(scenario, ctx)
+        label = ctx.label(scenario)
         cells = ", ".join(
             f"({a},{b})={_fmt(float(freqs[a - 1][b - 1]), True)}"
             for a in range(1, len(freqs) + 1)

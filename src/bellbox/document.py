@@ -26,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .errors import UnknownBuiltinError
 from .models import (
@@ -42,7 +42,7 @@ from .models import (
     socks_off,
     socks_on,
 )
-from .scenario import Behavior, Context, Prob, Scenario, exact_sum, sums_to_one
+from .scenario import Behavior, Context, Prob, Scenario, exact_sum, printable, sums_to_one
 
 FORMAT_VERSION = 1
 
@@ -67,6 +67,8 @@ _PROW_RE = re.compile(
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
+# ``\S`` is the complement of ``str.isspace()``: a test pins that.
+_COMMENT_RE = re.compile(r"(?<!\S)#")
 
 
 @dataclass(frozen=True)
@@ -112,23 +114,12 @@ class ModelDocument:
     singlet: SingletSpec | None = None
 
     def __post_init__(self) -> None:
-        payloads = [
-            p
-            for p in (self.behavior, self.noncontextual, self.contextual, self.singlet)
-            if p is not None
-        ]
-        if len(payloads) != 1:
+        if sum(getattr(self, name) is not None for name in _PAYLOAD_NAMES) != 1:
             raise ValueError("document needs exactly one payload section")
 
     @property
     def kind(self) -> str:
-        if self.behavior is not None:
-            return "behavior"
-        if self.noncontextual is not None:
-            return "noncontextual"
-        if self.contextual is not None:
-            return "contextual"
-        return "singlet"
+        return next(name for name in _PAYLOAD_NAMES if getattr(self, name) is not None)
 
     def model(self) -> NonContextualModel | ContextualModel | None:
         """The cause model carried by this document, if any."""
@@ -163,13 +154,6 @@ class ParseResult:
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
-
-
-def _comment_start(line: str) -> int:
-    for i, ch in enumerate(line):
-        if ch == "#" and (i == 0 or line[i - 1].isspace()):
-            return i
-    return len(line)
 
 
 def _tokens(text: str, offset: int = 0) -> list[tuple[str, int]]:
@@ -226,9 +210,15 @@ class _DocParser:
             return None
 
     def parse_probability(
-        self, token: str, line: int, column: int, *, as_float: bool
+        self,
+        token: str,
+        line: int,
+        column: int,
+        *,
+        as_float: bool,
+        noun: str = "a probability literal",
     ) -> Prob | None:
-        """Rational/decimal literal; None (with a diagnostic) when malformed."""
+        """Rational/decimal literal; None (with a diagnostic naming ``noun``) when malformed."""
         # In float mode a plain integer is read by float() below, as a decimal.
         if _RATIONAL_RE.match(token) or (not as_float and _INT_RE.match(token)):
             value = self.parse_rational(token, line, column)
@@ -250,22 +240,7 @@ class _DocParser:
                 token,
             )
             return snapped
-        self.error(line, column, "SYNTAX: expected a probability literal", token)
-        return None
-
-    def parse_float(self, token: str, line: int, column: int) -> float | None:
-        if _RATIONAL_RE.match(token):
-            value = self.parse_rational(token, line, column)
-            if value is None:
-                return None
-            return self.finite_float(value, token, line, column)
-        if _DECIMAL_RE.match(token):
-            value = float(token)
-            if math.isfinite(value):
-                return value
-            self.error(line, column, "SYNTAX: number out of range", token)
-            return None
-        self.error(line, column, "SYNTAX: expected a number", token)
+        self.error(line, column, f"SYNTAX: expected {noun}", token)
         return None
 
     def parse_label(self, token: str, line: int, column: int) -> str | None:
@@ -286,7 +261,8 @@ def parse_document(text: str) -> ParseResult:
     if sections is None or p.has_errors():
         return ParseResult(None, p.diags)
 
-    metadata = _build_metadata(p, sections.get("metadata", []))
+    entries = _key_values(p, sections.get("metadata", []), ("name", "description"), "metadata")
+    metadata = {key: value for key, (_, _, value) in entries.items()}
     scenario_lines = sections.get("scenario")
     if scenario_lines is None:
         p.error(1, 1, "SYNTAX: missing [scenario] section")
@@ -333,7 +309,7 @@ _Line = tuple[int, str]  # (1-based line number, content with comments removed)
 def _split_sections(p: _DocParser) -> dict[str, list[_Line]] | None:
     content: list[_Line] = []
     for i, raw in enumerate(p.lines, start=1):
-        stripped = raw[: _comment_start(raw)]
+        stripped = _COMMENT_RE.split(raw, 1)[0]
         if stripped.strip():
             content.append((i, stripped))
     if not content:
@@ -390,28 +366,11 @@ def _split_sections(p: _DocParser) -> dict[str, list[_Line]] | None:
     return sections
 
 
-def _build_metadata(p: _DocParser, lines: list[_Line]) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for line_no, text in lines:
-        m = _KEYVALUE_RE.match(text)
-        if not m:
-            tok = _tokens(text)[0]
-            p.error(line_no, tok[1], "SYNTAX: expected 'key = value'", tok[0])
-            continue
-        key, value = m.group(1), m.group(2)
-        if key not in ("name", "description"):
-            p.error(line_no, m.start(1) + 1, "SYNTAX: unknown metadata key", key)
-            continue
-        if key in out:
-            p.error(line_no, m.start(1) + 1, "SYNTAX: duplicate metadata key", key)
-            continue
-        out[key] = value
-    return out
-
-
-def _build_scenario(p: _DocParser, lines: list[_Line]) -> Scenario | None:
-    first_line = lines[0][0] if lines else 1
-    raw: dict[str, tuple[int, int, str]] = {}
+def _key_values(
+    p: _DocParser, lines: list[_Line], keys: tuple[str, ...], section: str
+) -> dict[str, tuple[int, int, str]]:
+    """``key = value`` lines of one section: key -> (line, value column, value)."""
+    out: dict[str, tuple[int, int, str]] = {}
     for line_no, text in lines:
         m = _KEYVALUE_RE.match(text)
         if not m:
@@ -419,13 +378,19 @@ def _build_scenario(p: _DocParser, lines: list[_Line]) -> Scenario | None:
             p.error(line_no, tok[1], "SYNTAX: expected 'key = value'", tok[0])
             continue
         key = m.group(1)
-        if key not in ("alice", "bob", "alice_outcomes", "bob_outcomes"):
-            p.error(line_no, m.start(1) + 1, "SYNTAX: unknown scenario key", key)
+        if key not in keys:
+            p.error(line_no, m.start(1) + 1, f"SYNTAX: unknown {section} key", key)
             continue
-        if key in raw:
-            p.error(line_no, m.start(1) + 1, "SYNTAX: duplicate scenario key", key)
+        if key in out:
+            p.error(line_no, m.start(1) + 1, f"SYNTAX: duplicate {section} key", key)
             continue
-        raw[key] = (line_no, m.start(2) + 1, m.group(2))
+        out[key] = (line_no, m.start(2) + 1, m.group(2))
+    return out
+
+
+def _build_scenario(p: _DocParser, lines: list[_Line]) -> Scenario | None:
+    first_line = lines[0][0] if lines else 1
+    raw = _key_values(p, lines, ("alice", "bob", "alice_outcomes", "bob_outcomes"), "scenario")
 
     settings: dict[str, tuple[str, ...]] = {}
     for key in ("alice", "bob"):
@@ -481,6 +446,20 @@ def _build_scenario(p: _DocParser, lines: list[_Line]) -> Scenario | None:
     return Scenario(settings["alice"], settings["bob"], counts["alice"], counts["bob"])
 
 
+def _context(
+    p: _DocParser, scenario: Scenario, line_no: int, x: tuple[str, int], y: tuple[str, int]
+) -> Context | None:
+    """Context of an alice and a bob ``(label, column)``; None (with a diagnostic) if unknown."""
+    (x_label, x_col), (y_label, y_col) = x, y
+    if x_label not in scenario.alice_settings:
+        p.error(line_no, x_col, "UNKNOWN_LABEL: not an alice setting", x_label)
+        return None
+    if y_label not in scenario.bob_settings:
+        p.error(line_no, y_col, "UNKNOWN_LABEL: not a bob setting", y_label)
+        return None
+    return Context(scenario.alice_settings.index(x_label), scenario.bob_settings.index(y_label))
+
+
 def _build_behavior(
     p: _DocParser, scenario: Scenario, lines: list[_Line]
 ) -> Behavior | None:
@@ -519,16 +498,9 @@ def _build_behavior(
         if a is None or b is None:
             continue
         x_label, y_label = m.group(3), m.group(4)
-        if x_label not in scenario.alice_settings:
-            p.error(line_no, m.start(3) + 1, "UNKNOWN_LABEL: not an alice setting", x_label)
+        ctx = _context(p, scenario, line_no, (x_label, m.start(3) + 1), (y_label, m.start(4) + 1))
+        if ctx is None:
             continue
-        if y_label not in scenario.bob_settings:
-            p.error(line_no, m.start(4) + 1, "UNKNOWN_LABEL: not a bob setting", y_label)
-            continue
-        ctx = Context(
-            scenario.alice_settings.index(x_label),
-            scenario.bob_settings.index(y_label),
-        )
         if not (1 <= a <= scenario.alice_outcomes[ctx.alice]) or not (
             1 <= b <= scenario.bob_outcomes[ctx.bob]
         ):
@@ -582,7 +554,7 @@ def _build_behavior(
                 line_no,
                 column,
                 f"UNNORMALIZED: behavior rows for context {ctx.label(scenario)} "
-                f"sum to {total}",
+                f"sum to {printable(total)}",
             )
         table[ctx] = tuple(tuple(row) for row in grid)
     if p.has_errors():
@@ -590,16 +562,32 @@ def _build_behavior(
     return Behavior(scenario, table)
 
 
+def _all_settings(scenario: Scenario) -> dict[str, tuple[int, ...]]:
+    """Every setting of each party: those a noncontextual cause answers for."""
+    return {
+        "alice": tuple(range(len(scenario.alice_settings))),
+        "bob": tuple(range(len(scenario.bob_settings))),
+    }
+
+
+def _context_settings(ctx: Context) -> dict[str, tuple[int, ...]]:
+    """The one setting of each party that a cause of a context block answers for."""
+    return {"alice": (ctx.alice,), "bob": (ctx.bob,)}
+
+
 class _CauseAccumulator:
     """Shared cause/respond line handling for model sections."""
 
-    def __init__(self, p: _DocParser, scenario: Scenario, where: str) -> None:
+    def __init__(
+        self, p: _DocParser, scenario: Scenario, where: str, settings: dict[str, tuple[int, ...]]
+    ) -> None:
         self.p = p
         self.scenario = scenario
         self.where = where
+        self.settings = settings  # party -> setting indices each cause answers for
         self.causes: list[tuple[str, Prob, int]] = []  # (id, weight, line)
-        self.rows: dict[tuple[str, int, str], tuple[Prob, ...]] = {}
-        # keyed (party, setting index, cause id)
+        # party -> {(setting index, cause id): row}, as ResponseFunction takes it
+        self.rows: dict[str, dict[tuple[int, str], tuple[Prob, ...]]] = {"alice": {}, "bob": {}}
 
     def on_cause(self, line_no: int, tokens: list[tuple[str, int]]) -> None:
         if len(tokens) != 4 or tokens[2][0] != "weight":
@@ -626,12 +614,7 @@ class _CauseAccumulator:
             return
         self.causes.append((cause_id, weight, line_no))
 
-    def on_respond(
-        self,
-        line_no: int,
-        tokens: list[tuple[str, int]],
-        allowed_settings: dict[str, tuple[int, ...]],
-    ) -> None:
+    def on_respond(self, line_no: int, tokens: list[tuple[str, int]]) -> None:
         if not self.causes:
             self.p.error(
                 line_no,
@@ -660,7 +643,7 @@ class _CauseAccumulator:
             )
             return
         setting = party_settings.index(label_tok)
-        if setting not in allowed_settings[party_tok]:
+        if setting not in self.settings[party_tok]:
             self.p.error(
                 line_no,
                 label_col,
@@ -688,12 +671,12 @@ class _CauseAccumulator:
             self.p.error(
                 line_no,
                 tokens[4][1],
-                f"UNNORMALIZED: response row sums to {total} in {self.where}",
+                f"UNNORMALIZED: response row sums to {printable(total)} in {self.where}",
             )
             return
         cause_id = self.causes[-1][0]
-        key = (party_tok, setting, cause_id)
-        if key in self.rows:
+        rows = self.rows[party_tok]
+        if (setting, cause_id) in rows:
             self.p.error(
                 line_no,
                 label_col,
@@ -701,10 +684,10 @@ class _CauseAccumulator:
                 f"under cause {cause_id}",
             )
             return
-        self.rows[key] = tuple(row)
+        rows[(setting, cause_id)] = tuple(row)
 
     def finish(
-        self, section_line: int, allowed_settings: dict[str, tuple[int, ...]]
+        self, section_line: int
     ) -> tuple[tuple[Cause, ...], ResponseFunction, ResponseFunction] | None:
         if not self.causes:
             self.p.error(section_line, 1, f"SYNTAX: {self.where} declares no causes")
@@ -714,13 +697,13 @@ class _CauseAccumulator:
             self.p.error(
                 self.causes[0][2],
                 1,
-                f"UNNORMALIZED: cause weights in {self.where} sum to {total}",
+                f"UNNORMALIZED: cause weights in {self.where} sum to {printable(total)}",
             )
         for cause_id, _, cause_line in self.causes:
             for party in ("alice", "bob"):
                 labels = self.scenario.settings(party)  # type: ignore[arg-type]
-                for setting in allowed_settings[party]:
-                    if (party, setting, cause_id) not in self.rows:
+                for setting in self.settings[party]:
+                    if (setting, cause_id) not in self.rows[party]:
                         self.p.error(
                             cause_line,
                             1,
@@ -732,43 +715,27 @@ class _CauseAccumulator:
         # A list, not a generator: tuple(generator) allocates spare slots and
         # shrinks, and the shrunk tuple later idles in a per-size free list.
         causes = tuple([Cause(cid, w) for cid, w, _ in self.causes])
-        alice = ResponseFunction(
-            "alice",
-            {
-                (setting, cid): row
-                for (party, setting, cid), row in self.rows.items()
-                if party == "alice"
-            },
+        return (
+            causes,
+            ResponseFunction("alice", self.rows["alice"]),
+            ResponseFunction("bob", self.rows["bob"]),
         )
-        bob = ResponseFunction(
-            "bob",
-            {
-                (setting, cid): row
-                for (party, setting, cid), row in self.rows.items()
-                if party == "bob"
-            },
-        )
-        return causes, alice, bob
 
 
 def _build_noncontextual(
     p: _DocParser, scenario: Scenario, lines: list[_Line]
 ) -> NonContextualModel | None:
-    acc = _CauseAccumulator(p, scenario, "the cause set")
-    allowed = {
-        "alice": tuple(range(len(scenario.alice_settings))),
-        "bob": tuple(range(len(scenario.bob_settings))),
-    }
+    acc = _CauseAccumulator(p, scenario, "the cause set", _all_settings(scenario))
     for line_no, text in lines:
         tokens = _tokens(text)
         head = tokens[0][0]
         if head == "cause":
             acc.on_cause(line_no, tokens)
         elif head == "respond":
-            acc.on_respond(line_no, tokens, allowed)
+            acc.on_respond(line_no, tokens)
         else:
             p.error(line_no, tokens[0][1], "SYNTAX: expected 'cause' or 'respond'", head)
-    built = acc.finish(lines[0][0] if lines else 1, allowed)
+    built = acc.finish(lines[0][0] if lines else 1)
     if built is None:
         return None
     causes, alice, bob = built
@@ -778,13 +745,8 @@ def _build_noncontextual(
 def _build_contextual(
     p: _DocParser, scenario: Scenario, lines: list[_Line]
 ) -> ContextualModel | None:
-    open_ctx: Context | None = None
     acc: _CauseAccumulator | None = None
     pending: list[tuple[Context, int, _CauseAccumulator]] = []
-
-    def allowed_for(ctx: Context) -> dict[str, tuple[int, ...]]:
-        return {"alice": (ctx.alice,), "bob": (ctx.bob,)}
-
     for line_no, text in lines:
         tokens = _tokens(text)
         head = tokens[0][0]
@@ -795,30 +757,21 @@ def _build_contextual(
                 )
                 acc = None
                 continue
-            x_label, x_col = tokens[1]
-            y_label, y_col = tokens[2]
-            if x_label not in scenario.alice_settings:
-                p.error(line_no, x_col, "UNKNOWN_LABEL: not an alice setting", x_label)
+            ctx = _context(p, scenario, line_no, tokens[1], tokens[2])
+            if ctx is None:
                 acc = None
                 continue
-            if y_label not in scenario.bob_settings:
-                p.error(line_no, y_col, "UNKNOWN_LABEL: not a bob setting", y_label)
-                acc = None
-                continue
-            ctx = Context(
-                scenario.alice_settings.index(x_label),
-                scenario.bob_settings.index(y_label),
-            )
             if any(c == ctx for c, _, _ in pending):
                 p.error(
                     line_no,
-                    x_col,
+                    tokens[1][1],
                     f"SYNTAX: duplicate block for context {ctx.label(scenario)}",
                 )
                 acc = None
                 continue
-            open_ctx = ctx
-            acc = _CauseAccumulator(p, scenario, f"context {ctx.label(scenario)}")
+            acc = _CauseAccumulator(
+                p, scenario, f"context {ctx.label(scenario)}", _context_settings(ctx)
+            )
             pending.append((ctx, line_no, acc))
         elif head == "cause":
             if acc is None:
@@ -828,12 +781,12 @@ def _build_contextual(
                 continue
             acc.on_cause(line_no, tokens)
         elif head == "respond":
-            if acc is None or open_ctx is None:
+            if acc is None:
                 p.error(
                     line_no, tokens[0][1], "SYNTAX: 'respond' before any 'context' line"
                 )
                 continue
-            acc.on_respond(line_no, tokens, allowed_for(open_ctx))
+            acc.on_respond(line_no, tokens)
         else:
             p.error(
                 line_no,
@@ -844,7 +797,7 @@ def _build_contextual(
 
     blocks: dict[Context, ContextBlock] = {}
     for ctx, block_line, block_acc in pending:
-        built = block_acc.finish(block_line, allowed_for(ctx))
+        built = block_acc.finish(block_line)
         if built is None:
             continue
         causes, alice, bob = built
@@ -889,7 +842,7 @@ def _build_singlet(
             continue
         values = []
         for tok, col in _tokens(m.group(2), m.start(2)):
-            value = p.parse_float(tok, line_no, col)
+            value = p.parse_probability(tok, line_no, col, as_float=True, noun="a number")
             if value is not None:
                 values.append(value)
         angles[key] = tuple(values)
@@ -940,38 +893,18 @@ def serialize_document(document: ModelDocument) -> str:
         out.extend(_serialize_behavior(document.behavior))
     elif document.noncontextual is not None:
         out.append("[noncontextual]")
-        model = document.noncontextual
-        all_alice = tuple(range(len(scenario.alice_settings)))
-        all_bob = tuple(range(len(scenario.bob_settings)))
         out.extend(
-            _serialize_causes(
-                scenario,
-                model.causes,
-                model.alice_response,
-                model.bob_response,
-                all_alice,
-                all_bob,
-            )
+            _serialize_causes(scenario, document.noncontextual, _all_settings(scenario))
         )
     elif document.contextual is not None:
         out.append("[contextual]")
-        model = document.contextual
         for ctx in scenario.contexts():
-            block = model.blocks[ctx]
             out.append(
                 f"context {scenario.alice_settings[ctx.alice]} "
                 f"{scenario.bob_settings[ctx.bob]}"
             )
-            out.extend(
-                _serialize_causes(
-                    scenario,
-                    block.causes,
-                    block.alice_response,
-                    block.bob_response,
-                    (ctx.alice,),
-                    (ctx.bob,),
-                )
-            )
+            block = document.contextual.blocks[ctx]
+            out.extend(_serialize_causes(scenario, block, _context_settings(ctx)))
     else:
         assert document.singlet is not None
         out.append("[singlet]")
@@ -1001,27 +934,19 @@ def _serialize_behavior(behavior: Behavior) -> list[str]:
 
 def _serialize_causes(
     scenario: Scenario,
-    causes: Iterable[Cause],
-    alice: ResponseFunction,
-    bob: ResponseFunction,
-    alice_settings: Sequence[int],
-    bob_settings: Sequence[int],
+    source: NonContextualModel | ContextBlock,
+    settings: dict[str, tuple[int, ...]],
 ) -> list[str]:
     out = []
-    for cause in causes:
+    for cause in source.causes:
         out.append(f"cause {cause.id} weight {_fmt_prob(cause.weight)}")
-        for x in alice_settings:
-            row = alice.outcome_probs(x, cause.id)
-            out.append(
-                f"respond alice {scenario.alice_settings[x]} -> "
-                + " ".join(_fmt_prob(v) for v in row)
-            )
-        for y in bob_settings:
-            row = bob.outcome_probs(y, cause.id)
-            out.append(
-                f"respond bob {scenario.bob_settings[y]} -> "
-                + " ".join(_fmt_prob(v) for v in row)
-            )
+        for party, response in (("alice", source.alice_response), ("bob", source.bob_response)):
+            labels = scenario.settings(party)  # type: ignore[arg-type]
+            for setting in settings[party]:
+                row = response.outcome_probs(setting, cause.id)
+                out.append(
+                    f"respond {party} {labels[setting]} -> " + " ".join(_fmt_prob(v) for v in row)
+                )
     return out
 
 
@@ -1052,41 +977,26 @@ _BUILTIN_DESCRIPTIONS = {
 }
 
 
+#: name -> (payload kind, payload builder)
+_BUILTINS = {
+    "socks-on": ("noncontextual", socks_on),
+    "socks-off": ("contextual", socks_off),
+    "socks-color": ("contextual", socks_color),
+    "singlet-optimal": ("singlet", lambda: SingletSpec((0.0, 90.0), (45.0, 135.0))),
+}
+
+
 def builtin_document(name: str) -> ModelDocument:
     """One of the shipped canonical documents; UNKNOWN_BUILTIN otherwise."""
-    description = _BUILTIN_DESCRIPTIONS.get(name)
-    if name == "socks-on":
-        model = socks_on()
-        return ModelDocument(
-            scenario=model.scenario,
-            name=name,
-            description=description,
-            noncontextual=model,
+    if name not in _BUILTINS:
+        raise UnknownBuiltinError(
+            f"no builtin named {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         )
-    if name == "socks-off":
-        model = socks_off()
-        return ModelDocument(
-            scenario=model.scenario,
-            name=name,
-            description=description,
-            contextual=model,
-        )
-    if name == "socks-color":
-        model = socks_color()
-        return ModelDocument(
-            scenario=model.scenario,
-            name=name,
-            description=description,
-            contextual=model,
-        )
-    if name == "singlet-optimal":
-        spec = SingletSpec((0.0, 90.0), (45.0, 135.0))
-        return ModelDocument(
-            scenario=Scenario.binary(("A", "A'"), ("B", "B'")),
-            name=name,
-            description=description,
-            singlet=spec,
-        )
-    raise UnknownBuiltinError(
-        f"no builtin named {name!r}; available: {', '.join(BUILTIN_NAMES)}"
+    kind, build = _BUILTINS[name]
+    payload = build()
+    scenario = (
+        Scenario.binary(("A", "A'"), ("B", "B'")) if kind == "singlet" else payload.scenario
+    )
+    return ModelDocument(
+        scenario=scenario, name=name, description=_BUILTIN_DESCRIPTIONS[name], **{kind: payload}
     )

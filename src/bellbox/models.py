@@ -34,6 +34,7 @@ from .scenario import (
     Scenario,
     exact_sum,
     is_exact,
+    printable,
     sums_to_one,
 )
 
@@ -151,7 +152,7 @@ def _check_causes(causes: Sequence[Cause], where: str) -> None:
         )
     if not sums_to_one(total):
         raise ModelError(
-            f"{where}: cause weights sum to {total}, expected 1",
+            f"{where}: cause weights sum to {printable(total)}, expected 1",
             code="MODEL_INVALID",
         )
 
@@ -182,13 +183,13 @@ def _check_response_row(
     if not isinstance(total, Fraction) and not math.isfinite(total):
         raise ModelError(
             f"{where}: {response.party} row for setting {setting}, cause "
-            f"{cause_id!r} has a non-finite probability: {row!r}",
+            f"{cause_id!r} has a non-finite probability: {printable(row)}",
             code="MODEL_INVALID",
         )
     if not sums_to_one(total):
         raise ModelError(
             f"{where}: {response.party} row for setting {setting}, cause "
-            f"{cause_id!r} sums to {total}",
+            f"{cause_id!r} sums to {printable(total)}",
             code="MODEL_INVALID",
         )
 
@@ -378,48 +379,31 @@ def socks_on() -> NonContextualModel:
     )
 
 
-def _two_cause_block(
-    alice_setting: int,
-    bob_setting: int,
-    prefix: str,
+def _block(
+    x: int,
+    y: int,
+    states: Sequence[tuple],
     alice_outcome: Callable[..., int],
     bob_outcome: Callable[..., int],
 ) -> ContextBlock:
-    """Block driven by the handkerchief coin alone: one cause per color."""
-    causes = (
-        Cause(f"{prefix}1", Fraction(1, 2)),
-        Cause(f"{prefix}2", Fraction(1, 2)),
-    )
+    """Equal-weight causes, one per hidden state ``(name, *facts)``, in context (x, y).
+
+    Each party's answer is a deterministic outcome computed from the facts.
+    """
+    causes = tuple(Cause(name, Fraction(1, len(states))) for name, *_ in states)
     alice: dict[tuple[int, str], tuple[Prob, ...]] = {}
     bob: dict[tuple[int, str], tuple[Prob, ...]] = {}
-    for cause, hand_pink in zip(causes, (True, False)):
-        alice[(alice_setting, cause.id)] = deterministic_row(2, alice_outcome(hand_pink))
-        bob[(bob_setting, cause.id)] = deterministic_row(2, bob_outcome(hand_pink))
+    for name, *facts in states:
+        alice[(x, name)] = deterministic_row(2, alice_outcome(*facts))
+        bob[(y, name)] = deterministic_row(2, bob_outcome(*facts))
     return ContextBlock(
         causes, ResponseFunction("alice", alice), ResponseFunction("bob", bob)
     )
 
 
-def _four_cause_block(
-    alice_setting: int,
-    bob_setting: int,
-    alice_outcome: Callable[..., int],
-    bob_outcome: Callable[..., int],
-) -> ContextBlock:
-    """Block driven by handkerchief coin x attention coin (pink-sock foot)."""
-    causes = tuple(Cause(name, Fraction(1, 4)) for name, _, _ in _WARDROBE_STATES)
-    alice: dict[tuple[int, str], tuple[Prob, ...]] = {}
-    bob: dict[tuple[int, str], tuple[Prob, ...]] = {}
-    for name, hand_pink, pink_left in _WARDROBE_STATES:
-        alice[(alice_setting, name)] = deterministic_row(
-            2, alice_outcome(hand_pink, pink_left)
-        )
-        bob[(bob_setting, name)] = deterministic_row(
-            2, bob_outcome(hand_pink, pink_left)
-        )
-    return ContextBlock(
-        causes, ResponseFunction("alice", alice), ResponseFunction("bob", bob)
-    )
+def _hand_coin(prefix: str) -> tuple[tuple[str, bool], ...]:
+    """The handkerchief coin alone: one cause per color (pink first)."""
+    return ((f"{prefix}1", True), (f"{prefix}2", False))
 
 
 def socks_off() -> ContextualModel:
@@ -444,26 +428,27 @@ def socks_off() -> ContextualModel:
         return 1 if hand_pink else 2
 
     blocks = {
-        Context(0, 0): _two_cause_block(0, 0, "mu", hand, hand),
-        Context(1, 0): _two_cause_block(
+        Context(0, 0): _block(0, 0, _hand_coin("mu"), hand, hand),
+        Context(1, 0): _block(
             # Pink sock forced left: left sock pink, so A' asks hand == pink.
             1,
             0,
-            "nu",
+            _hand_coin("nu"),
             lambda hand_pink: 1 if hand_pink else 2,
             hand,
         ),
-        Context(0, 1): _two_cause_block(
+        Context(0, 1): _block(
             # Pink sock forced right: B' asks hand == pink on the right.
             0,
             1,
-            "sigma",
+            _hand_coin("sigma"),
             hand,
             lambda hand_pink: 1 if hand_pink else 2,
         ),
-        Context(1, 1): _four_cause_block(
+        Context(1, 1): _block(
             1,
             1,
+            _WARDROBE_STATES,
             lambda hand_pink, pink_left: 1 if hand_pink == pink_left else 2,
             lambda hand_pink, pink_left: 1 if hand_pink == (not pink_left) else 2,
         ),
@@ -491,26 +476,27 @@ def socks_color() -> ContextualModel:
         return 1 if hand_pink else 2
 
     blocks = {
-        Context(0, 0): _two_cause_block(0, 0, "mu", hand, hand),
-        Context(1, 0): _two_cause_block(
+        Context(0, 0): _block(0, 0, _hand_coin("mu"), hand, hand),
+        Context(1, 0): _block(
             # Alice's sock question pulls the pink sock left: A'' always pink.
             1,
             0,
-            "nu",
+            _hand_coin("nu"),
             lambda hand_pink: 1,
             hand,
         ),
-        Context(0, 1): _two_cause_block(
+        Context(0, 1): _block(
             # Bob's sock question pulls the pink sock right: B'' always pink.
             0,
             1,
-            "sigma",
+            _hand_coin("sigma"),
             hand,
             lambda hand_pink: 1,
         ),
-        Context(1, 1): _four_cause_block(
+        Context(1, 1): _block(
             1,
             1,
+            _WARDROBE_STATES,
             lambda hand_pink, pink_left: 1 if pink_left else 2,
             lambda hand_pink, pink_left: 2 if pink_left else 1,
         ),

@@ -62,6 +62,30 @@ def exact_sum(values: Iterable[Prob]) -> Prob:
     return _ONE if num == den else Fraction(num, den)
 
 
+def printable(value: object) -> str:
+    """``str(value)``, or a stand-in when CPython refuses to print an integer in it.
+
+    Integers longer than ``sys.get_int_max_str_digits()`` digits do not
+    convert to text, and a sum of long exact literals can be one.  Such a
+    rational is shown as ``<N-digit integer>/<M-digit integer>``, with its sign.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        if not isinstance(value, (int, Fraction)):
+            return f"<{type(value).__name__} too long to print>"
+        parts = [f"<{_digit_count(abs(value.numerator))}-digit integer>"]
+        if value.denominator != 1:
+            parts.append(f"<{_digit_count(value.denominator)}-digit integer>")
+        return ("-" if value < 0 else "") + "/".join(parts)
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of ``n >= 0``: 10**(k-1) <= n, and n has k or k + 1 digits."""
+    k = int((n.bit_length() - 1) * math.log10(2)) + 1
+    return k + (n >= 10**k)
+
+
 def sums_to_one(total: Prob) -> bool:
     """The normalization rule: an exact total is 1, a float one within ``FLOAT_ATOL``.
 
@@ -282,7 +306,10 @@ def validate_behavior(behavior: Behavior, *, normalized: bool = True) -> Validat
             # a float) before a later entry is checked; keep that order.
             exact_sum(values[:k])
             return Validation(
-                False, code, ctx, f"{problem} probability {value} in context {label}"
+                False,
+                code,
+                ctx,
+                f"{problem} probability {printable(value)} in context {label}",
             )
         total = exact_sum(values)
         if normalized and not sums_to_one(total):
@@ -291,7 +318,7 @@ def validate_behavior(behavior: Behavior, *, normalized: bool = True) -> Validat
                 False,
                 "UNNORMALIZED_CONTEXT",
                 ctx,
-                f"context {label} sums to {total}, expected 1{within}",
+                f"context {label} sums to {printable(total)}, expected 1{within}",
             )
     return Validation(True)
 
@@ -377,11 +404,13 @@ def mix(components: Sequence[tuple[Prob, Behavior]]) -> Behavior:
                 code="SCENARIO_MISMATCH",
             )
         if weight < 0:
-            raise MixtureError(f"negative weight {weight}", code="BAD_WEIGHTS")
+            raise MixtureError(f"negative weight {printable(weight)}", code="BAD_WEIGHTS")
+        if weight != weight:
+            raise MixtureError("weight is NaN", code="BAD_WEIGHTS")
         weights.append(Fraction(weight) if isinstance(weight, int) else weight)
     total = exact_sum(weights)
     if not sums_to_one(total):
-        raise MixtureError(f"weights sum to {total}, expected 1", code="BAD_WEIGHTS")
+        raise MixtureError(f"weights sum to {printable(total)}, expected 1", code="BAD_WEIGHTS")
 
     table: dict[Context, tuple[tuple[Prob, ...], ...]] = {}
     for ctx in scenario.contexts():

@@ -1,10 +1,12 @@
 """Document parsing, canonical serialization, builtins, and fuzz totality."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from bellbox import document
 from bellbox import (
     BUILTIN_NAMES,
     Context,
@@ -119,6 +121,14 @@ class TestParsing:
             "alice = A\nbob = B\n# middle\n[behavior]\nP(1,1 | A,B) = 1  # done\n"
         )
         assert parse_document(text).ok
+
+    def test_comment_follows_exactly_the_str_isspace_characters(self):
+        # A '#' starts a comment after a character for which str.isspace()
+        # holds; the parser's compiled pattern must agree on every code point.
+        chars = [chr(c) for c in range(sys.maxunicode + 1)]
+        text = "".join(c + "#" for c in chars)
+        hits = [m.start() // 2 for m in document._COMMENT_RE.finditer(text)]
+        assert hits == [i for i, c in enumerate(chars) if c.isspace()]
 
     def test_unnormalized_cause_set_names_the_block(self):
         text = (

@@ -35,6 +35,7 @@ from bellbox.models import (
     random_noncontextual_model,
     singlet_behavior,
 )
+from bellbox.errors import MixtureError
 from bellbox.scenario import Behavior, Scenario, exact_sum, mix
 
 F = Fraction
@@ -225,6 +226,11 @@ def test_mix_matches():
         n = rng.randint(1, 4)
         weights = _row(rng, n, rng.choice(("exact", "float", "mixed", "int")))
         components = [(w, _behavior(rng, shape)) for w in weights]
+        if any(w != w for w in weights):  # NaN: the oracle accepts it, mix rejects it
+            with pytest.raises(MixtureError) as exc:
+                mix(components)
+            assert exc.value.code == "BAD_WEIGHTS"
+            continue
         _same(mix, oracle.mix, components)
 
 

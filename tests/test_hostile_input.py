@@ -2,23 +2,39 @@
 
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
 from bellbox import (
     BUILTIN_NAMES,
     Behavior,
+    Cause,
     Context,
+    InfeasibilityCertificate,
     InvalidBehaviorError,
+    LocalDecomposition,
+    MixtureError,
+    ModelError,
+    NonContextualModel,
+    ResponseFunction,
+    ScenarioShapeError,
     builtin_document,
     classify,
+    enumerate_strategies,
+    exact_behavior,
     local_membership,
+    mix,
     parse_document,
     serialize_document,
+    socks_on,
     validate_behavior,
+    validate_model,
 )
 from bellbox.cli import run_cli
 from bellbox.document import MAX_LITERAL_DIGITS
+from bellbox.scenario import printable
 from _docgen import inflate_literal
 from _tables import STANDARD_SCENARIO
 
@@ -154,3 +170,138 @@ class TestOversizedLiterals:
                 assert diag.column >= 1
             rejected += not result.ok
         assert rejected > 50
+
+    def test_fuzz_payload_literals_at_the_cap_never_crash(self):
+        # Literals of exactly MAX_LITERAL_DIGITS digits are accepted, and sums
+        # of them can be too long to print.  Outcome counts stay small: a
+        # scenario with that many outcomes is a different, open problem.
+        rand = random.Random(4301)
+        sources = [serialize_document(builtin_document(n)) for n in BUILTIN_NAMES]
+        sources.append(BEHAVIOR_HEAD + "P(1,1 | A,B) = 1/2\nP(2,2 | A,B) = 1/2\n")
+        standins = 0
+        for _ in range(200):
+            text = rand.choice(sources)
+            start = re.search(r"^\[(behavior|noncontextual|contextual|singlet)\]", text, re.M)
+            start = start.start()
+            text = text[:start] + inflate_literal(rand, text[start:], digits=MAX_LITERAL_DIGITS)
+            result = parse_document(text)  # must not raise
+            n_lines = max(1, len(text.splitlines()))
+            for diag in result.diagnostics:
+                assert 1 <= diag.line <= n_lines
+                assert diag.column >= 1
+            standins += any("-digit integer>" in d.message for d in result.diagnostics)
+        assert standins > 3
+
+
+# Two accepted literals whose sum is too long for CPython's int->str limit.
+LONG_A = int("7" * MAX_LITERAL_DIGITS)
+LONG_B = int("3" + "7" * (MAX_LITERAL_DIGITS - 1))
+LONG_SUM = Fraction(1, LONG_A) + Fraction(1, LONG_B)
+STANDIN = "<4301-digit integer>/<8600-digit integer>"
+
+
+class TestTotalsTooLongToPrint:
+    def test_printable(self):
+        assert printable(LONG_SUM) == STANDIN
+        assert printable(-LONG_SUM) == "-" + STANDIN
+        assert printable(-(10**5000)) == "-<5001-digit integer>"
+        for value in (Fraction(1, 3), Fraction(-2), 0.5, math.nan, (Fraction(1, 3),)):
+            assert printable(value) == str(value)
+        assert printable((LONG_SUM,)) == "<tuple too long to print>"
+
+    def test_response_row(self):
+        text = _socks_on_text().replace(
+            "respond alice A -> 1 0", f"respond alice A -> 1/{LONG_A} 1/{LONG_B}", 1
+        )
+        assert f"UNNORMALIZED: response row sums to {STANDIN} in the cause set" in _messages(text)
+
+    def test_cause_weights(self):
+        text = _socks_on_text().replace("weight 1/4", f"weight 1/{LONG_A}", 1)
+        text = text.replace("weight 1/4", f"weight 1/{LONG_B}", 1)
+        messages = _messages(text)
+        prefix = "UNNORMALIZED: cause weights in the cause set sum to <"
+        assert any(m.startswith(prefix) for m in messages)
+
+    def test_behavior_rows(self):
+        text = BEHAVIOR_HEAD + f"P(1,1 | A,B) = 1/{LONG_A}\nP(1,2 | A,B) = 1/{LONG_B}\n"
+        messages = _messages(text)
+        assert f"UNNORMALIZED: behavior rows for context (A,B) sum to {STANDIN}" in messages
+
+    def test_cli_exits_1_without_a_traceback(self, tmp_path, capsys):
+        path = tmp_path / "long-total.bellbox"
+        path.write_text(
+            _socks_on_text().replace(
+                "respond alice A -> 1 0", f"respond alice A -> 1/{LONG_A} 1/{LONG_B}", 1
+            )
+        )
+        assert run_cli(["exact", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert STANDIN in err
+        assert "Traceback" not in err
+
+    def test_validate_model(self):
+        good = socks_on()
+        causes = (Cause("a", Fraction(1, LONG_A)), Cause("b", Fraction(1, LONG_B)))
+        response = {(x, c.id): (Fraction(1), Fraction(0)) for x in range(2) for c in causes}
+        alice, bob = ResponseFunction("alice", response), ResponseFunction("bob", response)
+        model = NonContextualModel(good.scenario, causes, alice, bob)
+        with pytest.raises(ModelError) as exc:
+            validate_model(model)
+        assert str(exc.value) == f"model: cause weights sum to {STANDIN}, expected 1"
+        row = {key: (Fraction(1, LONG_A), Fraction(1, LONG_B)) for key in good.alice_response.table}
+        model = NonContextualModel(
+            good.scenario, good.causes, ResponseFunction("alice", row), good.bob_response
+        )
+        with pytest.raises(ModelError) as exc:
+            validate_model(model)
+        assert str(exc.value).endswith(f"sums to {STANDIN}")
+
+    def test_mix(self):
+        table = exact_behavior(socks_on())
+        with pytest.raises(MixtureError) as exc:
+            mix([(Fraction(1, LONG_A), table), (Fraction(1, LONG_B), table)])
+        assert str(exc.value) == f"weights sum to {STANDIN}, expected 1"
+        assert exc.value.code == "BAD_WEIGHTS"
+        with pytest.raises(MixtureError) as exc:
+            mix([(-LONG_SUM, table)])
+        assert str(exc.value) == f"negative weight -{STANDIN}"
+
+    def test_validate_behavior(self):
+        table = exact_behavior(socks_on()).table
+        grid = ((Fraction(1, LONG_A), Fraction(1, LONG_B)), (0, 0))
+        result = validate_behavior(Behavior(socks_on().scenario, {**table, Context(0, 0): grid}))
+        assert result.message == f"context (A,B) sums to {STANDIN}, expected 1"
+        grid = ((-LONG_SUM, 1), (0, 0))
+        result = validate_behavior(Behavior(socks_on().scenario, {**table, Context(0, 0): grid}))
+        assert result.message == f"negative probability -{STANDIN} in context (A,B)"
+
+    def test_decomposition(self):
+        strategies = enumerate_strategies(socks_on().scenario)
+        weights = ((strategies[0], Fraction(1, LONG_A)), (strategies[1], Fraction(1, LONG_B)))
+        with pytest.raises(MixtureError) as exc:
+            LocalDecomposition(socks_on().scenario, weights).to_behavior()
+        assert str(exc.value) == f"weights sum to {STANDIN}, expected 1"
+
+
+def test_mix_rejects_a_nan_weight():
+    table = exact_behavior(socks_on())
+    for components in ([(math.nan, table)], [(0.5, table), (math.nan, table), (0.5, table)]):
+        with pytest.raises(MixtureError) as exc:
+            mix(components)
+        assert exc.value.code == "BAD_WEIGHTS"
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(Context(5, 0), 1, 1), (Context(-1, 0), 1, 1), (Context(0, 2), 1, 1), (Context(0, 0), 3, 1)],
+    ids=repr,
+)
+def test_certificate_key_outside_the_scenario(key):
+    table = exact_behavior(socks_on())
+    certificate = InfeasibilityCertificate(
+        table.scenario, {key: Fraction(1)}, Fraction(2), Fraction(1)
+    )
+    for check in (certificate.strategy_bound, lambda: certificate.verify(table)):
+        with pytest.raises(ScenarioShapeError) as exc:
+            check()
+        assert exc.value.code == "SCENARIO_SHAPE"

@@ -36,7 +36,7 @@ from .scenario import (
     require_valid,
     validate_behavior,
 )
-from .simplex import solve_equality_feasibility
+from .simplex import ConstraintMatrix, solve_equality_feasibility
 
 Arrangement = tuple[int, int, int, int]
 
@@ -154,16 +154,7 @@ class DeterministicStrategy:
 
 def enumerate_strategies(scenario: Scenario) -> tuple[DeterministicStrategy, ...]:
     """All deterministic strategies, in lexicographic order."""
-    alice_choices = itertools.product(
-        *[range(1, n + 1) for n in scenario.alice_outcomes]
-    )
-    strategies = []
-    for alice in alice_choices:
-        for bob in itertools.product(
-            *[range(1, n + 1) for n in scenario.bob_outcomes]
-        ):
-            strategies.append(DeterministicStrategy(tuple(alice), tuple(bob)))
-    return tuple(strategies)
+    return _polytope(scenario.alice_outcomes, scenario.bob_outcomes)[0]
 
 
 def strategy_behavior(scenario: Scenario, strategy: DeterministicStrategy) -> Behavior:
@@ -183,19 +174,36 @@ def strategy_behavior(scenario: Scenario, strategy: DeterministicStrategy) -> Be
 
 
 @functools.lru_cache(maxsize=16)
-def _polytope(scenario: Scenario) -> tuple:
-    """Strategies, entry keys in canonical order, and their 0/1 incidence rows
-    followed by the all-ones weight row; immutable, so callers share them."""
-    strategies = enumerate_strategies(scenario)
-    keys = [
-        (ctx, a, b)
-        for ctx in scenario.contexts()
-        for a in range(1, scenario.alice_outcomes[ctx.alice] + 1)
-        for b in range(1, scenario.bob_outcomes[ctx.bob] + 1)
+def _polytope(alice_outcomes: tuple[int, ...], bob_outcomes: tuple[int, ...]) -> tuple:
+    """Strategies and entry keys, both in lexicographic order; immutable, so
+    callers share them.  Neither depends on setting labels, so they are
+    built once per outcome-count shape."""
+    strategies = [
+        DeterministicStrategy(alice, bob)
+        for alice in itertools.product(*[range(1, n + 1) for n in alice_outcomes])
+        for bob in itertools.product(*[range(1, n + 1) for n in bob_outcomes])
     ]
-    rows = [tuple([int(s.hits(ctx, a, b)) for s in strategies]) for ctx, a, b in keys]
-    rows.append(tuple([1] * len(strategies)))
-    return strategies, tuple(keys), tuple(rows)
+    keys = [
+        (Context(x, y), a, b)
+        for x, na in enumerate(alice_outcomes)
+        for y, nb in enumerate(bob_outcomes)
+        for a in range(1, na + 1)
+        for b in range(1, nb + 1)
+    ]
+    return tuple(strategies), tuple(keys)
+
+
+@functools.lru_cache(maxsize=16)
+def _membership_matrix(
+    alice_outcomes: tuple[int, ...], bob_outcomes: tuple[int, ...]
+) -> ConstraintMatrix:
+    """The membership system's matrix, read once for the solver: the 0/1
+    incidence rows of the strategies on the entries, then the all-ones
+    weight row."""
+    strategies, keys = _polytope(alice_outcomes, bob_outcomes)
+    rows = [[int(s.hits(ctx, a, b)) for s in strategies] for ctx, a, b in keys]
+    rows.append([1] * len(strategies))
+    return ConstraintMatrix(rows)
 
 
 @dataclass(frozen=True)
@@ -260,7 +268,8 @@ class InfeasibilityCertificate:
         return exact_sum(terms)
 
     def strategy_bound(self) -> Fraction:
-        strategies, entry_keys, _ = _polytope(self.scenario)
+        scenario = self.scenario
+        strategies, entry_keys = _polytope(scenario.alice_outcomes, scenario.bob_outcomes)
         known = set(entry_keys)
         for key in self.coefficients:
             if key not in known:
@@ -359,7 +368,9 @@ def local_membership(behavior: Behavior, *, _valid: bool = False) -> MembershipR
                 raise InvalidBehaviorError(result.message, code=result.code or "INTERNAL")
         tested, snap_error = _snap_behavior(behavior)
     scenario = tested.scenario
-    strategies, entry_keys, matrix = _polytope(scenario)
+    shape = (scenario.alice_outcomes, scenario.bob_outcomes)
+    strategies, entry_keys = _polytope(*shape)
+    matrix = _membership_matrix(*shape)
     rhs = [v for ctx in scenario.contexts() for row in tested.table[ctx] for v in row]
     rhs.append(Fraction(1))
 

@@ -165,10 +165,11 @@ def _dispatch(args: argparse.Namespace) -> str:
 
 
 def _fmt(value: Prob, decimal: bool = False) -> str:
+    """Every rational the CLI prints goes through here."""
     if isinstance(value, Fraction):
         if decimal:
             return f"{float(value):.12g}"
-        return str(value)
+        return document.fraction_text(value)
     return f"{value:.12g}"
 
 
@@ -330,9 +331,9 @@ def _decomposition_lines(
         if machine:
             alice = ",".join(str(o) for o in strategy.alice)
             bob = ",".join(str(o) for o in strategy.bob)
-            lines.append(f"weight ({alice};{bob}) = {weight}")
+            lines.append(f"weight ({alice};{bob}) = {_fmt(weight)}")
         else:
-            lines.append(f"  weight {weight}  {_strategy_text(scenario, strategy)}")
+            lines.append(f"  weight {_fmt(weight)}  {_strategy_text(scenario, strategy)}")
     return lines
 
 
@@ -349,17 +350,13 @@ def _certificate_lines(
                 coeff = certificate.coefficients.get((ctx, a, b))
                 if coeff:
                     lines.append(
-                        f"{prefix}{_entry_label(scenario, ctx, a, b)} = {coeff}"
+                        f"{prefix}{_entry_label(scenario, ctx, a, b)} = {_fmt(coeff)}"
                     )
-    value = f"value = {certificate.behavior_value}"
-    bound = f"local_bound = {certificate.local_bound}"
+    value, bound = _fmt(certificate.behavior_value), _fmt(certificate.local_bound)
     if machine:
-        lines.extend([value, bound])
+        lines.extend([f"value = {value}", f"local_bound = {bound}"])
     else:
-        lines.append(
-            f"  functional value on behavior = {certificate.behavior_value} "
-            f"> local bound = {certificate.local_bound}"
-        )
+        lines.append(f"  functional value on behavior = {value} > local bound = {bound}")
     return lines
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .errors import UnknownBuiltinError
+from .errors import BellboxError, UnknownBuiltinError
 from .models import (
     Cause,
     ContextBlock,
@@ -53,6 +53,14 @@ DECIMAL_DENOMINATOR = 10**6
 #: longer ones get a diagnostic.  Equal to CPython's default cap on
 #: integer-string conversion, so every literal below it converts.
 MAX_LITERAL_DIGITS = 4300
+
+#: Integers below this have at most ``MAX_LITERAL_DIGITS`` digits.
+_LITERAL_LIMIT = 10**MAX_LITERAL_DIGITS
+
+#: Most table cells (sum over contexts of alice outcomes times bob outcomes)
+#: a scenario may declare; a larger one gets a diagnostic before any cell
+#: is built.
+MAX_TABLE_CELLS = 100_000
 
 _SECTION_NAMES = ("metadata", "scenario", "behavior", "noncontextual", "contextual", "singlet")
 _PAYLOAD_NAMES = ("behavior", "noncontextual", "contextual", "singlet")
@@ -442,6 +450,14 @@ def _build_scenario(p: _DocParser, lines: list[_Line]) -> Scenario | None:
             counts[party] = tuple(parsed)
 
     if p.has_errors() or "alice" not in settings or "bob" not in settings:
+        return None
+    cells = sum(counts["alice"]) * sum(counts["bob"])
+    if cells > MAX_TABLE_CELLS:
+        p.error(
+            first_line,
+            1,
+            f"SYNTAX: scenario has {printable(cells)} table cells, more than {MAX_TABLE_CELLS}",
+        )
         return None
     return Scenario(settings["alice"], settings["bob"], counts["alice"], counts["bob"])
 
@@ -865,9 +881,26 @@ def _build_singlet(
 # ---------------------------------------------------------------------------
 
 
+def fraction_text(value: Fraction) -> str:
+    """``str(value)``, for a rational whose integers the format can carry.
+
+    A numerator or denominator longer than ``MAX_LITERAL_DIGITS`` digits
+    could not be read back, and CPython may refuse to print it, so such a
+    value raises ``BellboxError`` ``TOO_LONG_TO_PRINT``, named through
+    ``printable``.
+    """
+    if abs(value.numerator) >= _LITERAL_LIMIT or value.denominator >= _LITERAL_LIMIT:
+        raise BellboxError(
+            f"{printable(value)} is too long to print: the format carries integers "
+            f"of at most {MAX_LITERAL_DIGITS} digits",
+            code="TOO_LONG_TO_PRINT",
+        )
+    return str(value)
+
+
 def _fmt_prob(value: Prob) -> str:
     if isinstance(value, Fraction):
-        return str(value)
+        return fraction_text(value)
     return repr(value)
 
 

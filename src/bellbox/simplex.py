@@ -8,9 +8,13 @@ solution is returned or a Farkas certificate y with
 which proves that no non-negative solution exists.  Bland's smallest-index
 pivot rule makes termination unconditional.
 
-The arithmetic is fraction-free: every tableau row, and the objective row,
-is a list of Python ints over one positive row denominator, divided by the
-gcd of its entries after each pivot.  Ratios are compared by cross
+The arithmetic is fraction-free.  The tableau's structural and artificial
+columns, ``[A | I]`` and its objective row, are lists of Python ints over
+one positive denominator per row, divided by the gcd of their entries after
+each pivot.  They depend on A alone, so a ``ConstraintMatrix`` builds their
+starting form once and every solve over it only copies it.  The right-hand
+side is a separate column of rationals in lowest terms, so b's
+denominators never enter the integer rows.  Ratios are compared by cross
 multiplication, so no value is ever rounded and the pivot sequence, basis,
 solution and certificate are exactly those of the same method carried out
 on ``fractions.Fraction`` entries.
@@ -38,97 +42,113 @@ class FeasibilityOutcome:
         return self.solution is not None
 
 
+class ConstraintMatrix(tuple):
+    """The rows of A, each a tuple, read once into the solver's integer form.
+
+    ``scale[i]`` is the lcm of row i's denominators and ``a_int[i]`` the
+    integer row ``A[i] * scale[i]``.  ``tableau[i]`` is the phase-1 row
+    ``[a_int[i] | scale[i] e_i]`` over ``scale[i]``, and ``z`` over
+    ``z_den`` the starting objective row when no row is sign-flipped.
+    """
+
+    def __new__(cls, matrix: Sequence[Sequence[Rational]]) -> "ConstraintMatrix":
+        self = super().__new__(cls, [tuple(row) for row in matrix])
+        m = len(self)
+        n = len(self[0]) if m else 0
+        ratios = [[_ratio(v) for v in row] for row in self]
+        if any(len(row) != n for row in ratios):
+            raise ValueError("ragged constraint matrix")
+        self.n = n
+        self.scale = tuple([math.lcm(*[q for _, q in row]) for row in ratios])
+        self.a_int = tuple(
+            [tuple([p * (d // q) for p, q in row]) for row, d in zip(ratios, self.scale)]
+        )
+        self.tableau = tuple(
+            [
+                row + (0,) * i + (d,) + (0,) * (m - 1 - i)
+                for i, (row, d) in enumerate(zip(self.a_int, self.scale))
+            ]
+        )
+        z, self.z_den = _phase1_row(self.a_int, self.scale, [1] * m)
+        self.z = tuple(z)
+        return self
+
+
 def solve_equality_feasibility(
     matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]
 ) -> FeasibilityOutcome:
     """Decide feasibility of ``matrix @ x == rhs`` with ``x >= 0``.
 
-    Entries may be ints, Fractions or anything ``Fraction`` accepts.
-    Redundant equations are fine (artificial variables stuck at level zero).
-    The returned certificate is verified internally before being handed out.
+    Entries may be ints, Fractions or anything ``Fraction`` accepts.  A
+    ``ConstraintMatrix`` is used as it is; any other matrix is read into
+    one first, so callers that solve over one A many times pass the same
+    ``ConstraintMatrix``.  Redundant equations are fine (artificial
+    variables stuck at level zero).  The returned certificate is verified
+    internally before being handed out.
     """
-    m = len(rhs)
-    n = len(matrix[0]) if m else 0
-    a_orig = [[_ratio(v) for v in row] for row in matrix]
+    system = matrix if isinstance(matrix, ConstraintMatrix) else ConstraintMatrix(matrix)
+    m, n = len(system), system.n
+    if len(rhs) != m:
+        raise ValueError(f"{len(rhs)} right-hand sides for {m} rows")
+
+    # Rows with b_i < 0 are negated over their structural columns, so every
+    # rhs is >= 0; sign[i] maps the dual back.  b[i] is the rhs in lowest
+    # terms, not scaled by the row's denominator.
     b_orig = [_ratio(v) for v in rhs]
-    if any(len(row) != n for row in a_orig):
-        raise ValueError("ragged constraint matrix")
-    if m == 0:
-        return FeasibilityOutcome((Fraction(0),) * n, None)
-
-    # Row i of the system, scaled by the lcm of its denominators, is
-    # a_int[i] . x == b_int[i] with integer coefficients.
-    a_int: list[list[int]] = []
-    b_int: list[int] = []
-    scale: list[int] = []
-    for i in range(m):
-        b_num, b_den = b_orig[i]
-        den = math.lcm(b_den, *(q for _, q in a_orig[i]))
-        a_int.append([p * (den // q) for p, q in a_orig[i]])
-        b_int.append(b_num * (den // b_den))
-        scale.append(den)
-
-    # Tableau columns: n structural, m artificial, then the rhs.  Row i holds
-    # the numerators of its values over dens[i] > 0, with b >= 0 after the
-    # sign flip; sign[i] maps the dual back.
-    width = n + m
-    dens = list(scale)
+    rows = [list(row) for row in system.tableau]
     sign = [1] * m
-    rows: list[list[int]] = []
-    for i in range(m):
-        if b_int[i] < 0:
+    b: list[tuple[int, int]] = []
+    for i, (p, q) in enumerate(b_orig):
+        if p < 0:
             sign[i] = -1
-            row = [-v for v in a_int[i]]
-        else:
-            row = list(a_int[i])
-        row += [0] * m
-        row[n + i] = dens[i]
-        row.append(abs(b_int[i]))
-        rows.append(row)
+            rows[i][:n] = [-v for v in rows[i][:n]]
+        b.append((abs(p), q))
+    if -1 in sign:
+        z, z_den = _phase1_row(system.a_int, system.scale, sign)
+    else:
+        z, z_den = list(system.z), system.z_den
+    dens = list(system.scale)
+    width = n + m
     basis = [n + i for i in range(m)]
 
-    # Phase-1 objective: minimize the sum of artificials.  z[j] / z_den holds
-    # c_B B^-1 A_j - c_j; entering columns are those with z[j] > 0.
-    z_den = math.lcm(*dens)
-    lift = [z_den // d for d in dens]
-    z = [sum(row[j] * k for row, k in zip(rows, lift)) for j in range(width + 1)]
-    for k in range(m):
-        z[n + k] -= z_den  # cost of artificial variables
-    z, z_den = _reduce(z, z_den)
-
+    # z[j] / z_den holds c_B B^-1 A_j - c_j of the phase-1 objective (the
+    # sum of the artificials); entering columns are those with z[j] > 0.
     while True:
         enter = next((j for j in range(width) if z[j] > 0), None)
         if enter is None:
             break
-        # Leaving row: smallest (rhs / coeff, basis index) over coeff > 0.
-        # A row's denominator cancels from its ratio, and both coefficients
-        # are positive, so ratios compare by cross multiplication.
+        # Leaving row: smallest (b_i * dens[i] / coeff, basis index) over
+        # coeff > 0, compared by cross multiplication of positive terms.
         pivot_row = None
         for i in range(m):
             coeff = rows[i][enter]
             if coeff > 0:
+                p, q = b[i]
+                ratio_num, ratio_den = p * dens[i], q * coeff
                 if pivot_row is None:
-                    pivot_row, best_rhs, best_coeff = i, rows[i][width], coeff
+                    pivot_row, best_num, best_den = i, ratio_num, ratio_den
                     continue
-                lhs = rows[i][width] * best_coeff
-                rhs_i = best_rhs * coeff
+                lhs = ratio_num * best_den
+                rhs_i = best_num * ratio_den
                 if lhs < rhs_i or (lhs == rhs_i and basis[i] < basis[pivot_row]):
-                    pivot_row, best_rhs, best_coeff = i, rows[i][width], coeff
+                    pivot_row, best_num, best_den = i, ratio_num, ratio_den
         if pivot_row is None:
             raise AssertionError("phase-1 objective cannot be unbounded")
-        z, z_den = _pivot(rows, dens, z, z_den, pivot_row, enter)
+        z, z_den = _pivot(rows, dens, b, z, z_den, pivot_row, enter)
         basis[pivot_row] = enter
 
-    if z[width] == 0:
+    # The phase-1 value c_B B^-1 b is the sum of the (non-negative) rhs of
+    # the rows whose basic variable is artificial.
+    artificial = [k for k in range(m) if basis[k] >= n]
+    if not any(b[k][0] for k in artificial):
         solution = [Fraction(0)] * n
         for i, var in enumerate(basis):
             if var < n:
-                solution[var] = Fraction(rows[i][width], dens[i])
+                solution[var] = Fraction(*b[i])
         return FeasibilityOutcome(tuple(solution), None)
 
     # Infeasible: y = c_B B^-1 read from the artificial block, whose final
     # content is B^-1 itself; summed over the rows with artificial basics.
-    artificial = [k for k in range(m) if basis[k] >= n]
     y_den = math.lcm(*[dens[k] for k in artificial])
     y = [
         sum(rows[k][n + i] * (y_den // dens[k]) for k in artificial)
@@ -137,7 +157,7 @@ def solve_equality_feasibility(
     # A list, not a generator: tuple(generator) allocates spare slots and
     # shrinks, and the shrunk tuple later idles in a per-size free list.
     certificate = tuple([Fraction(sign[i] * y[i], y_den) for i in range(m)])
-    _check_certificate(a_int, b_int, scale, certificate)
+    _check_certificate(system, b_orig, certificate)
     return FeasibilityOutcome(None, certificate)
 
 
@@ -149,60 +169,100 @@ def _ratio(value: object) -> tuple[int, int]:
 
 def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
     """Divide a row's numerators and its positive denominator by their gcd."""
+    if den == 1:
+        return row, den
     g = math.gcd(den, *row)
     if g == 1:
         return row, den
     return [v // g for v in row], den // g
 
 
+def _phase1_row(
+    a_int: Sequence[Sequence[int]], scale: Sequence[int], sign: Sequence[int]
+) -> tuple[list[int], int]:
+    """The starting objective row: the sum of the sign-flipped rows of
+    ``[A | I]`` minus the artificial costs, which is 0 on every artificial."""
+    z_den = math.lcm(*scale)
+    lift = [s * (z_den // d) for s, d in zip(sign, scale)]
+    z = [sum([v * k for v, k in zip(column, lift)]) for column in zip(*a_int)]
+    return _reduce(z + [0] * len(scale), z_den)
+
+
 def _pivot(
     rows: list[list[int]],
     dens: list[int],
+    b: list[tuple[int, int]],
     z: list[int],
     z_den: int,
     row: int,
     col: int,
 ) -> tuple[list[int], int]:
-    """Pivot on a positive entry; update rows in place, return the new z-row.
+    """Pivot on a positive entry; update rows and rhs in place, return the new z-row.
 
     The pivot row r / d with entry c / d divides to r / c, reduced to
-    pivot / p.  Any other row r' / e with entry f / e becomes
-    (r' * p - f * pivot) / (e * p), reduced.  Since p > 0, every
-    denominator stays positive and a numerator's sign is its value's sign,
-    which the entering and leaving tests rely on.
+    pivot / p, and its rhs b_r to b_r * d / c.  Any other row r' / e with
+    entry f / e becomes (r' * p - f * pivot) / (e * p), reduced, and its
+    rhs b' - (f / e) * b_r, with b_r the pivot row's new rhs.  Since p > 0,
+    every denominator stays positive and a numerator's sign is its value's
+    sign, which the entering and leaving tests rely on.
     """
-    pivot, p = _reduce(rows[row], rows[row][col])
-    rows[row], dens[row] = pivot, p
+    c = rows[row][col]
+    pivot, p = _reduce(rows[row], c)
+    rows[row] = pivot
+    b_num, b_den = _lowest(b[row][0] * dens[row], b[row][1] * c)
+    dens[row], b[row] = p, (b_num, b_den)
+    support = [j for j, w in enumerate(pivot) if w]
     for i, current in enumerate(rows):
         f = current[col]
         if i != row and f != 0:
-            rows[i], dens[i] = _reduce(
-                [v * p - f * q for v, q in zip(current, pivot)], dens[i] * p
-            )
+            e = dens[i]
+            rows[i], dens[i] = _eliminate(current, e, pivot, p, f, support)
+            if b_num:
+                num, den = b[i]
+                b[i] = _lowest(num * e * b_den - f * b_num * den, den * e * b_den)
     f = z[col]
     if f == 0:
         return z, z_den
-    return _reduce([v * p - f * q for v, q in zip(z, pivot)], z_den * p)
+    return _eliminate(z, z_den, pivot, p, f, support)
+
+
+def _eliminate(
+    row: list[int], den: int, pivot: list[int], p: int, f: int, support: list[int]
+) -> tuple[list[int], int]:
+    """``(row * p - f * pivot) / (den * p)``, reduced.
+
+    Over a unit pivot (p == 1, as on 0/1 incidence rows) only the columns
+    in ``support``, where the pivot row is non-zero, change; they are
+    updated in place.
+    """
+    if p == 1:
+        for j in support:
+            row[j] -= f * pivot[j]
+        return _reduce(row, den)
+    return _reduce([v * p - f * w for v, w in zip(row, pivot)], den * p)
+
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _check_certificate(
-    a_int: list[list[int]],
-    b_int: list[int],
-    scale: list[int],
-    y: tuple[Fraction, ...],
+    system: ConstraintMatrix, b: list[tuple[int, int]], y: tuple[Fraction, ...]
 ) -> None:
     """Check y . b > 0 and y . A_j <= 0 on the original system.
 
-    Row i of the original system is (a_int[i], b_int[i]) / scale[i]; with
-    every y_i / scale[i] written over one common denominator, both sums
-    become integer sums of the same signs.
+    Row i of A is ``system.a_int[i] / system.scale[i]`` and b_i is the
+    reduced pair ``b[i]``; each sum is taken as integers over one common
+    denominator, which keeps its sign.
     """
-    m, n = len(a_int), len(a_int[0]) if a_int else 0
-    dens = [yi.denominator * s for yi, s in zip(y, scale)]
+    dens = [yi.denominator * q for yi, (_, q) in zip(y, b)]
+    common = math.lcm(*dens)
+    if sum(yi.numerator * p * (common // d) for yi, (p, _), d in zip(y, b, dens)) <= 0:
+        raise AssertionError("Farkas certificate has non-positive value")
+    dens = [yi.denominator * s for yi, s in zip(y, system.scale)]
     common = math.lcm(*dens)
     w = [yi.numerator * (common // d) for yi, d in zip(y, dens)]
-    if sum(w[i] * b_int[i] for i in range(m)) <= 0:
-        raise AssertionError("Farkas certificate has non-positive value")
-    for j in range(n):
-        if sum(w[i] * a_int[i][j] for i in range(m)) > 0:
+    for column in zip(*system.a_int):
+        if sum(wi * v for wi, v in zip(w, column)) > 0:
             raise AssertionError("Farkas certificate fails on a column")

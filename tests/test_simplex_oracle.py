@@ -15,13 +15,17 @@ import pytest
 import bellbox.analysis as analysis
 from bellbox import (
     BUILTIN_NAMES,
+    Behavior,
     QuantumDirections,
+    Scenario,
     builtin_document,
+    enumerate_strategies,
     local_membership,
     mix,
     singlet_behavior,
+    strategy_behavior,
 )
-from bellbox.simplex import solve_equality_feasibility
+from bellbox.simplex import ConstraintMatrix, solve_equality_feasibility
 from _fraction_simplex import solve_equality_feasibility as fraction_solve
 from _tables import STANDARD_SCENARIO, UNIFORM_TABLE, behavior_from
 
@@ -167,3 +171,113 @@ def test_membership_systems_match_the_fraction_solver(monkeypatch):
     for matrix, rhs, outcome in systems:
         fractions = [[F(v) for v in row] for row in matrix]
         assert outcome == fraction_solve(fractions, rhs)
+
+
+def _recorded_systems(monkeypatch, behaviors):
+    """Every (matrix, rhs, outcome) the membership test hands to the solver."""
+    systems = []
+
+    def both(matrix, rhs):
+        outcome = solve_equality_feasibility(matrix, rhs)
+        systems.append((matrix, rhs, outcome))
+        return outcome
+
+    monkeypatch.setattr(analysis, "solve_equality_feasibility", both)
+    for behavior in behaviors:
+        local_membership(behavior)
+    return systems
+
+
+def _assert_match_the_fraction_solver(systems):
+    for matrix, rhs, outcome in systems:
+        fractions = [[F(v) for v in row] for row in matrix]
+        assert outcome == fraction_solve(fractions, rhs), rhs
+
+
+def test_the_membership_matrix_is_17_rows_of_16_ints(monkeypatch):
+    relabeled = Scenario.binary(("X", "Y"), ("U", "V"))
+    behaviors = [builtin_document("socks-on").to_behavior()]
+    behaviors.append(Behavior(relabeled, dict(behaviors[0].table)))
+    systems = _recorded_systems(monkeypatch, behaviors)
+    assert len(systems) == 2
+    matrix = systems[0][0]
+    assert len(matrix) == 17
+    assert all(len(row) == 16 and all(type(v) is int for v in row) for row in matrix)
+    # Built once per outcome-count shape: labels do not enter it.
+    assert systems[1][0] is matrix
+    assert systems[0][1] == systems[1][1]
+
+
+def test_snapped_singlets_with_long_denominators_match(monkeypatch):
+    # Snapped and renormalized singlet tables carry denominators of 20+
+    # digits; mixing them with each other and with the PR box compounds them.
+    rand = random.Random(4646)
+    snapped = []
+    for _ in range(10):
+        directions = QuantumDirections(
+            tuple(math.radians(rand.uniform(0, 360)) for _ in range(2)),
+            tuple(math.radians(rand.uniform(0, 360)) for _ in range(2)),
+        )
+        snapped.append(local_membership(singlet_behavior(directions)).tested)
+    behaviors = list(snapped)
+    for _ in range(12):
+        q = F(rand.randint(1, 10**6 - 1), 10**6 + rand.randint(1, 10**3))
+        behaviors.append(mix([(q, rand.choice(snapped)), (1 - q, rand.choice(snapped + [_pr_box()]))]))
+    systems = _recorded_systems(monkeypatch, behaviors)
+    assert max(v.denominator for _, rhs, _ in systems for v in rhs) > 10**25
+    assert {outcome.feasible for _, _, outcome in systems} == {True, False}
+    _assert_match_the_fraction_solver(systems)
+
+
+def test_zero_entries_and_degenerate_ties_match(monkeypatch):
+    # Deterministic points and mixtures of them.  In sparse mixtures most
+    # rhs entries are zero, so many ratio tests tie at 0; dense ones have
+    # many decompositions.  Either way the basis-index rule decides.
+    strategies = enumerate_strategies(STANDARD_SCENARIO)
+    points = [strategy_behavior(STANDARD_SCENARIO, s) for s in strategies]
+    rand = random.Random(1977)
+    behaviors = list(points)
+    for size in (2, 3, 4, 6, 8, 16):
+        for _ in range(12):
+            picked = rand.sample(points, size)
+            weights = [F(rand.randint(1, 5)) for _ in picked]
+            total = sum(weights)
+            behaviors.append(mix([(w / total, p) for w, p in zip(weights, picked)]))
+    for k in (1, 2, 3):
+        behaviors.append(mix([(F(k, 4), _pr_box()), (1 - F(k, 4), rand.choice(points))]))
+    systems = _recorded_systems(monkeypatch, behaviors)
+    assert sum(v == 0 for _, rhs, _ in systems for v in rhs) > len(systems) * 4
+    assert {outcome.feasible for _, _, outcome in systems} == {True, False}
+    _assert_match_the_fraction_solver(systems)
+
+
+def test_relabeled_scenario_matches(monkeypatch):
+    relabeled = Scenario.binary(("left", "right"), ("up", "down"))
+    behaviors = list(_membership_behaviors())
+    moved = [Behavior(relabeled, dict(b.table)) for b in behaviors]
+    systems = _recorded_systems(monkeypatch, behaviors + moved)
+    half = len(behaviors)
+    for (_, rhs, outcome), (_, moved_rhs, moved_outcome) in zip(systems[:half], systems[half:]):
+        assert (rhs, outcome) == (moved_rhs, moved_outcome)
+    _assert_match_the_fraction_solver(systems[half:])
+
+
+def test_one_constraint_matrix_serves_many_right_hand_sides():
+    rand = random.Random(3131)
+    for _ in range(60):
+        matrix, _ = _random_system(rand)
+        shared = ConstraintMatrix(matrix)
+        before = (tuple(shared), shared.tableau, shared.z, shared.z_den)
+        for _ in range(8):
+            rhs = [F(rand.randint(-6, 6), rand.randint(1, 4)) for _ in matrix]
+            expected = fraction_solve(matrix, rhs)
+            assert solve_equality_feasibility(shared, rhs) == expected
+            assert solve_equality_feasibility(matrix, rhs) == expected
+        assert (tuple(shared), shared.tableau, shared.z, shared.z_den) == before
+
+
+def test_rhs_length_must_match_the_rows():
+    with pytest.raises(ValueError):
+        solve_equality_feasibility([[F(1)], [F(2)]], [F(1)])
+    with pytest.raises(ValueError):
+        solve_equality_feasibility([[F(1)]], [F(1), F(1)])

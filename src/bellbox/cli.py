@@ -7,6 +7,9 @@ Usage::
 Subcommands: exact, sample, chsh, nosig, membership, classify, show.
 Exit codes: 0 success, 1 input or parse error (diagnostics on stderr),
 2 internal invariant violation.
+
+Each handler imports the analysis or sampler layer itself, so a subcommand
+loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -15,13 +18,19 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import analysis, document, models, sampler
+from . import document, models
 from .errors import BellboxError
 from .scenario import Behavior, Context, Prob, Scenario, expectation, marginals
 
+if TYPE_CHECKING:  # annotations only
+    from . import analysis, sampler
+
 _BUILTIN_ALIASES = {"singlet": "singlet-optimal"}
+
+# Diagnostics printed per document; the rest are counted in one line.
+MAX_PRINTED_DIAGNOSTICS = 100
 
 
 class _CliInputError(Exception):
@@ -108,7 +117,11 @@ def run_cli(argv: Sequence[str]) -> int:
         traceback.print_exc()
         return 2
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0
@@ -135,11 +148,14 @@ def _load_document(selector: str) -> document.ModelDocument:
         )
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliInputError(f"cannot read {selector}: {exc}") from exc
     result = document.parse_document(text)
-    for diag in result.diagnostics:
+    for diag in result.diagnostics[:MAX_PRINTED_DIAGNOSTICS]:
         print(f"{selector}:{diag.render()}", file=sys.stderr)
+    hidden = len(result.diagnostics) - MAX_PRINTED_DIAGNOSTICS
+    if hidden > 0:
+        print(f"{selector}: … {hidden} more diagnostics", file=sys.stderr)
     if result.document is None:
         raise _CliInputError(f"{selector} did not parse")
     return result.document
@@ -255,6 +271,8 @@ def _cmd_exact(args: argparse.Namespace, doc: document.ModelDocument) -> str:
 
 
 def _cmd_chsh(args: argparse.Namespace, doc: document.ModelDocument) -> str:
+    from . import analysis
+
     behavior = doc.to_behavior()
     values = [
         (arr, analysis.chsh_value(behavior, arr))
@@ -297,6 +315,8 @@ def _marginal_pairs(behavior: Behavior) -> list[tuple[str, str, int, list[Prob]]
 
 
 def _cmd_nosig(args: argparse.Namespace, doc: document.ModelDocument) -> str:
+    from . import analysis
+
     behavior = doc.to_behavior()
     residual = analysis.nosignaling_residual(behavior)
     rows = _marginal_pairs(behavior)
@@ -361,6 +381,8 @@ def _certificate_lines(
 
 
 def _cmd_membership(args: argparse.Namespace, doc: document.ModelDocument) -> str:
+    from . import analysis
+
     behavior = doc.to_behavior()
     result = analysis.local_membership(behavior)
     scenario = behavior.scenario
@@ -393,6 +415,8 @@ def _cmd_membership(args: argparse.Namespace, doc: document.ModelDocument) -> st
 
 
 def _cmd_classify(args: argparse.Namespace, doc: document.ModelDocument) -> str:
+    from . import analysis
+
     behavior = doc.to_behavior()
     report = analysis.classify(behavior)
     scenario = behavior.scenario
@@ -436,6 +460,8 @@ def _cmd_classify(args: argparse.Namespace, doc: document.ModelDocument) -> str:
 
 
 def _parse_schedule(text: str, scenario: Scenario) -> sampler.Schedule:
+    from . import sampler
+
     if text == "uniform":
         return sampler.Schedule.uniform()
     if text == "cycle":
@@ -458,6 +484,8 @@ def _parse_schedule(text: str, scenario: Scenario) -> sampler.Schedule:
 
 
 def _cmd_sample(args: argparse.Namespace, doc: document.ModelDocument) -> str:
+    from . import sampler
+
     model = doc.model()
     if model is None:
         raise _CliInputError(

@@ -283,3 +283,40 @@ class TestInputHandling:
         code, _, err = run(capsys, "classify", "socks-on")
         assert code == 2
         assert "boom" in err
+
+
+class TestUnreadableInputAndUnwritableOutput:
+    def test_non_utf8_file_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "x.bellbox"
+        path.write_bytes(b"\xff\xfe bad")
+        code, out, err = run(capsys, "show", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "codec can't decode" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("target", ["missing/report.txt", "."], ids=["missing-dir", "a-directory"])
+    def test_out_that_cannot_be_written(self, capsys, tmp_path, target):
+        out_path = str(tmp_path / target)
+        code, out, err = run(capsys, "classify", "socks-on", "--out", out_path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("target", ["missing/report.txt", "."], ids=["missing-dir", "a-directory"])
+    def test_out_that_cannot_be_written_python_m(self, tmp_path, target):
+        out_path = str(tmp_path / target)
+        src = str(Path(bellbox.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        done = subprocess.run(
+            [sys.executable, "-m", "bellbox.cli", "show", "socks-on", "--out", out_path],
+            env=env,
+            capture_output=True,
+            timeout=60,
+            check=False,
+        )
+        assert (done.returncode, done.stdout) == (1, b"")
+        err = done.stderr.decode("utf-8")
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert len(err.splitlines()) == 1

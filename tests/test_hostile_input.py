@@ -32,7 +32,7 @@ from bellbox import (
     validate_behavior,
     validate_model,
 )
-from bellbox.cli import run_cli
+from bellbox.cli import MAX_PRINTED_DIAGNOSTICS, run_cli
 from bellbox.document import MAX_LITERAL_DIGITS
 from bellbox.scenario import printable
 from _docgen import inflate_literal
@@ -305,3 +305,22 @@ def test_certificate_key_outside_the_scenario(key):
         with pytest.raises(ScenarioShapeError) as exc:
             check()
         assert exc.value.code == "SCENARIO_SHAPE"
+
+
+def test_cli_caps_the_diagnostics_it_prints(tmp_path, capsys):
+    """150x150 settings of 2 outcomes with an empty [behavior]: one missing-row
+    diagnostic per context, of which the CLI prints a fixed number."""
+    alice = " ".join(f"A{i}" for i in range(150))
+    bob = " ".join(f"B{i}" for i in range(150))
+    text = f"bellbox-format 1\n\n[scenario]\nalice = {alice}\nbob = {bob}\n\n[behavior]\n"
+    assert len(parse_document(text).diagnostics) == 150 * 150
+    path = tmp_path / "wide.bellbox"
+    path.write_text(text)
+    assert run_cli(["classify", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == MAX_PRINTED_DIAGNOSTICS + 2
+    assert all(line.startswith(f"{path}:error:") for line in lines[:MAX_PRINTED_DIAGNOSTICS])
+    assert lines[-2:] == [
+        f"{path}: … {150 * 150 - MAX_PRINTED_DIAGNOSTICS} more diagnostics",
+        f"error: {path} did not parse",
+    ]

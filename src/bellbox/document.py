@@ -8,10 +8,12 @@ it begins the line or follows whitespace.  The full grammar lives in
 ``docs/format.md``.
 
 Parsing is total: malformed input produces :class:`ParseDiagnostic` entries
-with line and column positions, never an exception.  Serialization is
-canonical (fixed section order, sorted keys, reduced rationals, contexts in
+with line and column positions, never an exception.  Each cause weight and
+response row is checked once, as it is read, and a parsed model document
+builds its table from the terms so checked.  Serialization is canonical
+(fixed section order, sorted keys, reduced rationals, contexts in
 lexicographic order) and idempotent, and ``parse(serialize(d))`` returns a
-structurally equal document.
+structurally equal document; a value the text cannot carry raises instead.
 
 Probability literals are rationals ``p/q`` or decimals.  In the default
 exact mode a decimal is converted to a rational with denominator at most
@@ -36,6 +38,8 @@ from .models import (
     NonContextualModel,
     QuantumDirections,
     ResponseFunction,
+    Term,
+    _mixture_table,
     exact_behavior,
     singlet_behavior,
     socks_color,
@@ -75,8 +79,10 @@ _PROW_RE = re.compile(
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
-# ``\S`` is the complement of ``str.isspace()``: a test pins that.
+# ``\S`` is the complement of ``str.isspace()``: a test pins that.  So a
+# ``_TOKEN_RE`` match is a ``str.split()`` token.
 _COMMENT_RE = re.compile(r"(?<!\S)#")
+_TOKEN_RE = re.compile(r"\S+")
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,10 @@ class ModelDocument:
     contextual: ContextualModel | None = None
     singlet: SingletSpec | None = None
 
+    # context -> checked terms, set by the parser.  Not a field, so equality,
+    # repr and ``dataclasses.replace`` leave it out.
+    _terms = None
+
     def __post_init__(self) -> None:
         if sum(getattr(self, name) is not None for name in _PAYLOAD_NAMES) != 1:
             raise ValueError("document needs exactly one payload section")
@@ -136,11 +146,18 @@ class ModelDocument:
         return self.contextual
 
     def to_behavior(self) -> Behavior:
-        """The behavior this document denotes (computed for model payloads)."""
+        """The behavior this document denotes (computed for model payloads).
+
+        A parsed model document's comes from the terms its parser checked,
+        a snapshot of the model as read: an in-place change to the model's
+        dicts afterwards is neither seen nor validated.
+        """
         if self.behavior is not None:
             return self.behavior
         if self.singlet is not None:
             return singlet_behavior(self.singlet.directions(), self.scenario)
+        if self._terms is not None:
+            return _mixture_table(self.scenario, self._terms)
         model = self.model()
         assert model is not None
         return exact_behavior(model)
@@ -164,28 +181,44 @@ class ParseResult:
 # ---------------------------------------------------------------------------
 
 
-def _tokens(text: str, offset: int = 0) -> list[tuple[str, int]]:
-    """Whitespace-separated tokens with their 1-based column positions."""
-    return [(m.group(), offset + m.start() + 1) for m in re.finditer(r"\S+", text)]
-
-
 class _DocParser:
     def __init__(self, text: str) -> None:
         self.diags: list[ParseDiagnostic] = []
         self.lines = text.splitlines()
+        self.exact_literals: dict[str, Fraction] = {}  # token -> value, this parse only
+        self.terms: dict[Context, tuple[Term, ...]] | None = None  # of a model payload
+        self.token_starts: dict[str, list[int]] = {}  # text -> its tokens' starts, this parse only
 
-    def error(self, line: int, column: int, message: str, token: str = "") -> None:
+    def column(self, text: str, k: int, offset: int = 0) -> int:
+        """1-based column of the ``k``-th ``str.split()`` token of ``text``, ``offset`` columns in.
+
+        Readers pass a column as an int or as these arguments, so that it is
+        computed only when a diagnostic needs it; each text is scanned once,
+        however many of its tokens are reported.
+        """
+        starts = self.token_starts.get(text)
+        if starts is None:
+            starts = self.token_starts[text] = [m.start() for m in _TOKEN_RE.finditer(text)]
+        return offset + starts[k] + 1
+
+    def error(self, line: int, column: int | tuple, message: str, token: str = "") -> None:
+        column = column if isinstance(column, int) else self.column(*column)
         self.diags.append(ParseDiagnostic("error", line, column, message, token))
 
-    def note(self, line: int, column: int, message: str, token: str = "") -> None:
+    def note(self, line: int, column: int | tuple, message: str, token: str = "") -> None:
+        column = column if isinstance(column, int) else self.column(*column)
         self.diags.append(ParseDiagnostic("note", line, column, message, token))
+
+    def error_at_head(self, line: int, text: str, message: str) -> None:
+        """An error at the first token of a line, naming it."""
+        self.error(line, (text, 0), message, text.split()[0])
 
     def has_errors(self) -> bool:
         return any(d.severity == "error" for d in self.diags)
 
     # -- numeric literals ---------------------------------------------------
 
-    def parse_int(self, token: str, line: int, column: int) -> int | None:
+    def parse_int(self, token: str, line: int, column: int | tuple) -> int | None:
         """Digits with an optional sign; None (with a diagnostic) when too long."""
         if len(token.lstrip("+-")) > MAX_LITERAL_DIGITS:
             self.error(
@@ -197,42 +230,37 @@ class _DocParser:
             return None
         return int(token)
 
-    def parse_rational(self, token: str, line: int, column: int) -> Fraction | None:
-        """``n/d`` or integer literal; None (with a diagnostic) when unusable."""
-        m = _RATIONAL_RE.match(token)
-        numerator = self.parse_int(m.group(1) if m else token, line, column)
-        denominator = self.parse_int(m.group(2), line, column) if m else 1
-        if numerator is None or denominator is None:
-            return None
-        if denominator == 0:
-            self.error(line, column, "SYNTAX: zero denominator", token)
-            return None
-        return Fraction(numerator, denominator)
-
-    def finite_float(self, value: Fraction, token: str, line: int, column: int) -> float | None:
-        """Nearest float to an exact value; None (with a diagnostic) beyond float range."""
-        try:
-            return float(value)
-        except OverflowError:
-            self.error(line, column, "SYNTAX: number out of range", token)
-            return None
-
     def parse_probability(
         self,
         token: str,
         line: int,
-        column: int,
+        column: int | tuple,
         *,
         as_float: bool,
         noun: str = "a probability literal",
     ) -> Prob | None:
         """Rational/decimal literal; None (with a diagnostic naming ``noun``) when malformed."""
+        if not as_float and token in self.exact_literals:
+            return self.exact_literals[token]
+        m = _RATIONAL_RE.match(token)
         # In float mode a plain integer is read by float() below, as a decimal.
-        if _RATIONAL_RE.match(token) or (not as_float and _INT_RE.match(token)):
-            value = self.parse_rational(token, line, column)
-            if value is None or not as_float:
+        if m or (not as_float and _INT_RE.match(token)):
+            numerator = self.parse_int(m.group(1) if m else token, line, column)
+            denominator = self.parse_int(m.group(2), line, column) if m else 1
+            if numerator is None or denominator is None:
+                return None
+            if denominator == 0:
+                self.error(line, column, "SYNTAX: zero denominator", token)
+                return None
+            value = Fraction(numerator, denominator)
+            if not as_float:
+                self.exact_literals[token] = value
                 return value
-            return self.finite_float(value, token, line, column)
+            try:
+                return float(value)
+            except OverflowError:
+                self.error(line, column, "SYNTAX: number out of range", token)
+                return None
         if _DECIMAL_RE.match(token):
             value = float(token)
             if not math.isfinite(value):
@@ -251,7 +279,7 @@ class _DocParser:
         self.error(line, column, f"SYNTAX: expected {noun}", token)
         return None
 
-    def parse_label(self, token: str, line: int, column: int) -> str | None:
+    def parse_label(self, token: str, line: int, column: int | tuple) -> str | None:
         if _LABEL_RE.fullmatch(token):
             return token
         self.error(line, column, "SYNTAX: invalid label", token)
@@ -308,6 +336,7 @@ def parse_document(text: str) -> ParseResult:
         description=metadata.get("description"),
         **{kind: payload},
     )
+    object.__setattr__(document, "_terms", p.terms)
     return ParseResult(document, p.diags)
 
 
@@ -325,16 +354,12 @@ def _split_sections(p: _DocParser) -> dict[str, list[_Line]] | None:
         return None
 
     header_line, header_text = content[0]
-    tokens = _tokens(header_text)
-    if len(tokens) != 2 or tokens[0][0] != "bellbox-format":
-        p.error(
-            header_line,
-            tokens[0][1] if tokens else 1,
-            "SYNTAX: expected version header 'bellbox-format 1'",
-            tokens[0][0] if tokens else "",
-        )
+    tokens = header_text.split()
+    if len(tokens) != 2 or tokens[0] != "bellbox-format":
+        message = "SYNTAX: expected version header 'bellbox-format 1'"
+        p.error_at_head(header_line, header_text, message)
         return None
-    version = tokens[1][0]
+    version = tokens[1]
     if (
         not _INT_RE.match(version)
         or len(version) > MAX_LITERAL_DIGITS
@@ -342,9 +367,9 @@ def _split_sections(p: _DocParser) -> dict[str, list[_Line]] | None:
     ):
         p.error(
             header_line,
-            tokens[1][1],
+            (header_text, 1),
             f"VERSION_UNSUPPORTED: this reader handles version {FORMAT_VERSION}",
-            tokens[1][0],
+            version,
         )
         return None
 
@@ -367,8 +392,7 @@ def _split_sections(p: _DocParser) -> dict[str, list[_Line]] | None:
             current = sections[name]
             continue
         if current is None:
-            tok = _tokens(text)[0]
-            p.error(line_no, tok[1], "SYNTAX: content before any section", tok[0])
+            p.error_at_head(line_no, text, "SYNTAX: content before any section")
             continue
         current.append((line_no, text))
     return sections
@@ -382,8 +406,7 @@ def _key_values(
     for line_no, text in lines:
         m = _KEYVALUE_RE.match(text)
         if not m:
-            tok = _tokens(text)[0]
-            p.error(line_no, tok[1], "SYNTAX: expected 'key = value'", tok[0])
+            p.error_at_head(line_no, text, "SYNTAX: expected 'key = value'")
             continue
         key = m.group(1)
         if key not in keys:
@@ -406,14 +429,15 @@ def _build_scenario(p: _DocParser, lines: list[_Line]) -> Scenario | None:
             p.error(first_line, 1, f"SYNTAX: scenario needs '{key} = <labels>'")
             continue
         line_no, column, value = raw[key]
-        labels = []
-        for tok, col in _tokens(value, column - 1):
+        labels: dict[str, None] = {}  # ordered, with O(1) membership
+        for k, tok in enumerate(value.split()):
+            col = (value, k, column - 1)
             label = p.parse_label(tok, line_no, col)
             if label is not None:
                 if label in labels:
                     p.error(line_no, col, "SYNTAX: duplicate setting label", label)
                 else:
-                    labels.append(label)
+                    labels[label] = None
         if labels:
             settings[key] = tuple(labels)
         else:
@@ -428,16 +452,12 @@ def _build_scenario(p: _DocParser, lines: list[_Line]) -> Scenario | None:
             continue
         line_no, column, value = raw[key]
         parsed = []
-        for tok, col in _tokens(value, column - 1):
-            if not _INT_RE.match(tok):
+        for k, tok in enumerate(value.split()):
+            col = (value, k, column - 1)
+            count = p.parse_int(tok, line_no, col) if _INT_RE.match(tok) else 0
+            if count is not None and count < 2:
                 p.error(line_no, col, "SYNTAX: outcome counts are integers >= 2", tok)
-                continue
-            count = p.parse_int(tok, line_no, col)
-            if count is None:
-                continue
-            if count < 2:
-                p.error(line_no, col, "SYNTAX: outcome counts are integers >= 2", tok)
-            else:
+            elif count is not None:
                 parsed.append(count)
         if len(parsed) != len(settings[party]):
             p.error(
@@ -463,10 +483,15 @@ def _build_scenario(p: _DocParser, lines: list[_Line]) -> Scenario | None:
 
 
 def _context(
-    p: _DocParser, scenario: Scenario, line_no: int, x: tuple[str, int], y: tuple[str, int]
+    p: _DocParser,
+    scenario: Scenario,
+    line_no: int,
+    x_label: str,
+    y_label: str,
+    x_col: int | tuple,
+    y_col: int | tuple,
 ) -> Context | None:
-    """Context of an alice and a bob ``(label, column)``; None (with a diagnostic) if unknown."""
-    (x_label, x_col), (y_label, y_col) = x, y
+    """Context of an alice and a bob label; None (with a diagnostic) if unknown."""
     if x_label not in scenario.alice_settings:
         p.error(line_no, x_col, "UNKNOWN_LABEL: not an alice setting", x_label)
         return None
@@ -479,14 +504,16 @@ def _context(
 def _build_behavior(
     p: _DocParser, scenario: Scenario, lines: list[_Line]
 ) -> Behavior | None:
-    as_float = False
+    as_float = numbers_seen = False
     cells: dict[tuple[Context, int, int], Prob] = {}
     cell_pos: dict[Context, tuple[int, int]] = {}
     body: list[_Line] = []
     for line_no, text in lines:
         m = _KEYVALUE_RE.match(text)
         if m and m.group(1) == "numbers":
-            if m.group(2) == "float":
+            if numbers_seen:
+                p.error(line_no, m.start(1) + 1, "SYNTAX: duplicate behavior key", "numbers")
+            elif m.group(2) == "float":
                 as_float = True
             elif m.group(2) != "exact":
                 p.error(
@@ -495,26 +522,21 @@ def _build_behavior(
                     "SYNTAX: numbers mode is 'exact' or 'float'",
                     m.group(2),
                 )
+            numbers_seen = True
             continue
         body.append((line_no, text))
 
     for line_no, text in body:
         m = _PROW_RE.match(text)
         if not m:
-            tok = _tokens(text)[0]
-            p.error(
-                line_no,
-                tok[1],
-                "SYNTAX: expected 'P(a,b | x,y) = value'",
-                tok[0],
-            )
+            p.error_at_head(line_no, text, "SYNTAX: expected 'P(a,b | x,y) = value'")
             continue
         a = p.parse_int(m.group(1), line_no, m.start(1) + 1)
         b = p.parse_int(m.group(2), line_no, m.start(2) + 1)
         if a is None or b is None:
             continue
         x_label, y_label = m.group(3), m.group(4)
-        ctx = _context(p, scenario, line_no, (x_label, m.start(3) + 1), (y_label, m.start(4) + 1))
+        ctx = _context(p, scenario, line_no, x_label, y_label, m.start(3) + 1, m.start(4) + 1)
         if ctx is None:
             continue
         if not (1 <= a <= scenario.alice_outcomes[ctx.alice]) or not (
@@ -605,102 +627,84 @@ class _CauseAccumulator:
         # party -> {(setting index, cause id): row}, as ResponseFunction takes it
         self.rows: dict[str, dict[tuple[int, str], tuple[Prob, ...]]] = {"alice": {}, "bob": {}}
 
-    def on_cause(self, line_no: int, tokens: list[tuple[str, int]]) -> None:
-        if len(tokens) != 4 or tokens[2][0] != "weight":
-            self.p.error(
-                line_no,
-                tokens[0][1],
-                "SYNTAX: expected 'cause <id> weight <p/q>'",
-                tokens[0][0],
-            )
+    def on_cause(self, line_no: int, text: str, tokens: list[str]) -> None:
+        if len(tokens) != 4 or tokens[2] != "weight":
+            self.p.error_at_head(line_no, text, "SYNTAX: expected 'cause <id> weight <p/q>'")
             return
-        cause_id = self.p.parse_label(tokens[1][0], line_no, tokens[1][1])
-        weight = self.p.parse_probability(
-            tokens[3][0], line_no, tokens[3][1], as_float=False
-        )
+        cause_id = self.p.parse_label(tokens[1], line_no, (text, 1))
+        weight = self.p.parse_probability(tokens[3], line_no, (text, 3), as_float=False)
         if cause_id is None or weight is None:
             return
         if any(c[0] == cause_id for c in self.causes):
-            self.p.error(line_no, tokens[1][1], "SYNTAX: duplicate cause id", cause_id)
+            self.p.error(line_no, (text, 1), "SYNTAX: duplicate cause id", cause_id)
             return
-        if weight < 0:
-            self.p.error(
-                line_no, tokens[3][1], f"UNNORMALIZED: negative weight in {self.where}"
-            )
+        if weight.numerator < 0:
+            self.p.error(line_no, (text, 3), f"UNNORMALIZED: negative weight in {self.where}")
             return
         self.causes.append((cause_id, weight, line_no))
 
-    def on_respond(self, line_no: int, tokens: list[tuple[str, int]]) -> None:
+    def on_respond(self, line_no: int, text: str, tokens: list[str]) -> None:
         if not self.causes:
-            self.p.error(
-                line_no,
-                tokens[0][1],
-                "SYNTAX: 'respond' before any 'cause' line",
-                tokens[0][0],
+            self.p.error_at_head(line_no, text, "SYNTAX: 'respond' before any 'cause' line")
+            return
+        if len(tokens) < 5 or tokens[3] != "->":
+            self.p.error_at_head(
+                line_no, text, "SYNTAX: expected 'respond <party> <setting> -> <probabilities>'"
             )
             return
-        if len(tokens) < 5 or tokens[3][0] != "->":
+        party, label = tokens[1], tokens[2]
+        if party not in ("alice", "bob"):
+            self.p.error(line_no, (text, 1), "SYNTAX: party is 'alice' or 'bob'", party)
+            return
+        party_settings = self.scenario.settings(party)  # type: ignore[arg-type]
+        if label not in party_settings:
+            self.p.error(line_no, (text, 2), f"UNKNOWN_LABEL: not a {party} setting", label)
+            return
+        setting = party_settings.index(label)
+        if setting not in self.settings[party]:
             self.p.error(
-                line_no,
-                tokens[0][1],
-                "SYNTAX: expected 'respond <party> <setting> -> <probabilities>'",
-                tokens[0][0],
+                line_no, (text, 2), f"SYNTAX: setting {label} is not part of {self.where}", label
             )
             return
-        party_tok, party_col = tokens[1]
-        if party_tok not in ("alice", "bob"):
-            self.p.error(line_no, party_col, "SYNTAX: party is 'alice' or 'bob'", party_tok)
-            return
-        label_tok, label_col = tokens[2]
-        party_settings = self.scenario.settings(party_tok)  # type: ignore[arg-type]
-        if label_tok not in party_settings:
-            self.p.error(
-                line_no, label_col, f"UNKNOWN_LABEL: not a {party_tok} setting", label_tok
-            )
-            return
-        setting = party_settings.index(label_tok)
-        if setting not in self.settings[party_tok]:
-            self.p.error(
-                line_no,
-                label_col,
-                f"SYNTAX: setting {label_tok} is not part of {self.where}",
-                label_tok,
-            )
-            return
-        row: list[Prob] = []
-        for tok, col in tokens[4:]:
-            value = self.p.parse_probability(tok, line_no, col, as_float=False)
+        row: list[Fraction] = []
+        for k in range(4, len(tokens)):
+            value = self.p.parse_probability(tokens[k], line_no, (text, k), as_float=False)
             if value is None:
                 return
             row.append(value)
-        counts = self.scenario.outcome_counts(party_tok)  # type: ignore[arg-type]
+        counts = self.scenario.outcome_counts(party)  # type: ignore[arg-type]
         if len(row) != counts[setting]:
             self.p.error(
                 line_no,
-                tokens[4][1],
-                f"SYNTAX: {party_tok} setting {label_tok} needs "
+                (text, 4),
+                f"SYNTAX: {party} setting {label} needs "
                 f"{counts[setting]} probabilities, got {len(row)}",
             )
             return
         total = exact_sum(row)
-        if any(v < 0 for v in row) or total != 1:
+        if any(v.numerator < 0 for v in row) or total != 1:
             self.p.error(
                 line_no,
-                tokens[4][1],
+                (text, 4),
                 f"UNNORMALIZED: response row sums to {printable(total)} in {self.where}",
             )
             return
         cause_id = self.causes[-1][0]
-        rows = self.rows[party_tok]
+        rows = self.rows[party]
         if (setting, cause_id) in rows:
             self.p.error(
                 line_no,
-                label_col,
-                f"SYNTAX: duplicate response for {party_tok} setting {label_tok} "
+                (text, 2),
+                f"SYNTAX: duplicate response for {party} setting {label} "
                 f"under cause {cause_id}",
             )
             return
         rows[(setting, cause_id)] = tuple(row)
+
+    def terms(self, ctx: Context) -> tuple[Term, ...]:
+        """``(weight, alice_row, bob_row)`` of each cause, in order, in one context."""
+        alice, bob = self.rows["alice"], self.rows["bob"]
+        return tuple([(w, alice[ctx.alice, cid], bob[ctx.bob, cid]) for cid, w, _ in self.causes])
 
     def finish(
         self, section_line: int
@@ -743,83 +747,64 @@ def _build_noncontextual(
 ) -> NonContextualModel | None:
     acc = _CauseAccumulator(p, scenario, "the cause set", _all_settings(scenario))
     for line_no, text in lines:
-        tokens = _tokens(text)
-        head = tokens[0][0]
-        if head == "cause":
-            acc.on_cause(line_no, tokens)
-        elif head == "respond":
-            acc.on_respond(line_no, tokens)
+        tokens = text.split()
+        if tokens[0] == "cause":
+            acc.on_cause(line_no, text, tokens)
+        elif tokens[0] == "respond":
+            acc.on_respond(line_no, text, tokens)
         else:
-            p.error(line_no, tokens[0][1], "SYNTAX: expected 'cause' or 'respond'", head)
+            p.error_at_head(line_no, text, "SYNTAX: expected 'cause' or 'respond'")
     built = acc.finish(lines[0][0] if lines else 1)
     if built is None:
         return None
-    causes, alice, bob = built
-    return NonContextualModel(scenario, causes, alice, bob)
+    p.terms = {ctx: acc.terms(ctx) for ctx in scenario.contexts()}
+    return NonContextualModel(scenario, *built)
 
 
 def _build_contextual(
     p: _DocParser, scenario: Scenario, lines: list[_Line]
 ) -> ContextualModel | None:
     acc: _CauseAccumulator | None = None
-    pending: list[tuple[Context, int, _CauseAccumulator]] = []
+    pending: dict[Context, tuple[int, _CauseAccumulator]] = {}
     for line_no, text in lines:
-        tokens = _tokens(text)
-        head = tokens[0][0]
+        tokens = text.split()
+        head = tokens[0]
         if head == "context":
+            acc = None
             if len(tokens) != 3:
-                p.error(
-                    line_no, tokens[0][1], "SYNTAX: expected 'context <x> <y>'", head
-                )
-                acc = None
+                p.error_at_head(line_no, text, "SYNTAX: expected 'context <x> <y>'")
                 continue
-            ctx = _context(p, scenario, line_no, tokens[1], tokens[2])
+            ctx = _context(p, scenario, line_no, tokens[1], tokens[2], (text, 1), (text, 2))
             if ctx is None:
-                acc = None
                 continue
-            if any(c == ctx for c, _, _ in pending):
+            if ctx in pending:
                 p.error(
                     line_no,
-                    tokens[1][1],
+                    (text, 1),
                     f"SYNTAX: duplicate block for context {ctx.label(scenario)}",
                 )
-                acc = None
                 continue
             acc = _CauseAccumulator(
                 p, scenario, f"context {ctx.label(scenario)}", _context_settings(ctx)
             )
-            pending.append((ctx, line_no, acc))
-        elif head == "cause":
+            pending[ctx] = (line_no, acc)
+        elif head in ("cause", "respond"):
             if acc is None:
-                p.error(
-                    line_no, tokens[0][1], "SYNTAX: 'cause' before any 'context' line"
-                )
-                continue
-            acc.on_cause(line_no, tokens)
-        elif head == "respond":
-            if acc is None:
-                p.error(
-                    line_no, tokens[0][1], "SYNTAX: 'respond' before any 'context' line"
-                )
-                continue
-            acc.on_respond(line_no, tokens)
+                p.error(line_no, (text, 0), f"SYNTAX: '{head}' before any 'context' line")
+            elif head == "cause":
+                acc.on_cause(line_no, text, tokens)
+            else:
+                acc.on_respond(line_no, text, tokens)
         else:
-            p.error(
-                line_no,
-                tokens[0][1],
-                "SYNTAX: expected 'context', 'cause' or 'respond'",
-                head,
-            )
+            p.error_at_head(line_no, text, "SYNTAX: expected 'context', 'cause' or 'respond'")
 
     blocks: dict[Context, ContextBlock] = {}
-    for ctx, block_line, block_acc in pending:
+    for ctx, (block_line, block_acc) in pending.items():
         built = block_acc.finish(block_line)
-        if built is None:
-            continue
-        causes, alice, bob = built
-        blocks[ctx] = ContextBlock(causes, alice, bob)
+        if built is not None:
+            blocks[ctx] = ContextBlock(*built)
     for ctx in scenario.contexts():
-        if not any(c == ctx for c, _, _ in pending):
+        if ctx not in pending:
             p.error(
                 lines[0][0] if lines else 1,
                 1,
@@ -827,6 +812,7 @@ def _build_contextual(
             )
     if p.has_errors():
         return None
+    p.terms = {ctx: block_acc.terms(ctx) for ctx, (_, block_acc) in pending.items()}
     return ContextualModel(scenario, blocks)
 
 
@@ -844,21 +830,17 @@ def _build_singlet(
     for line_no, text in lines:
         m = _KEYVALUE_RE.match(text)
         if not m or m.group(1) not in ("alice_angles_deg", "bob_angles_deg"):
-            tok = _tokens(text)[0]
-            p.error(
-                line_no,
-                tok[1],
-                "SYNTAX: expected 'alice_angles_deg = ...' or 'bob_angles_deg = ...'",
-                tok[0],
-            )
+            message = "SYNTAX: expected 'alice_angles_deg = ...' or 'bob_angles_deg = ...'"
+            p.error_at_head(line_no, text, message)
             continue
         key = m.group(1)
         if key in angles:
             p.error(line_no, m.start(1) + 1, "SYNTAX: duplicate key", key)
             continue
-        values = []
-        for tok, col in _tokens(m.group(2), m.start(2)):
-            value = p.parse_probability(tok, line_no, col, as_float=True, noun="a number")
+        values, value_text = [], m.group(2)
+        for k, tok in enumerate(value_text.split()):
+            column = (value_text, k, m.start(2))
+            value = p.parse_probability(tok, line_no, column, as_float=True, noun="a number")
             if value is not None:
                 values.append(value)
         angles[key] = tuple(values)
@@ -909,10 +891,9 @@ def serialize_document(document: ModelDocument) -> str:
     out: list[str] = [f"bellbox-format {FORMAT_VERSION}", ""]
     if document.name is not None or document.description is not None:
         out.append("[metadata]")
-        if document.description is not None:
-            out.append(f"description = {document.description}")
-        if document.name is not None:
-            out.append(f"name = {document.name}")
+        for key in ("description", "name"):
+            if getattr(document, key) is not None:
+                out.append(_metadata_line(key, getattr(document, key)))
         out.append("")
     scenario = document.scenario
     out.append("[scenario]")
@@ -926,9 +907,7 @@ def serialize_document(document: ModelDocument) -> str:
         out.extend(_serialize_behavior(document.behavior))
     elif document.noncontextual is not None:
         out.append("[noncontextual]")
-        out.extend(
-            _serialize_causes(scenario, document.noncontextual, _all_settings(scenario))
-        )
+        out.extend(_serialize_causes(scenario, document.noncontextual, _all_settings(scenario)))
     elif document.contextual is not None:
         out.append("[contextual]")
         for ctx in scenario.contexts():
@@ -941,16 +920,22 @@ def serialize_document(document: ModelDocument) -> str:
     else:
         assert document.singlet is not None
         out.append("[singlet]")
-        out.append(
-            "alice_angles_deg = "
-            + " ".join(repr(a) for a in document.singlet.alice_angles_deg)
-        )
-        out.append(
-            "bob_angles_deg = "
-            + " ".join(repr(a) for a in document.singlet.bob_angles_deg)
-        )
+        for key in ("alice_angles_deg", "bob_angles_deg"):
+            out.append(f"{key} = " + " ".join(repr(a) for a in getattr(document.singlet, key)))
     out.append("")
     return "\n".join(out)
+
+
+def _metadata_line(key: str, value: str) -> str:
+    """``key = value``, or ``UNREADABLE_METADATA`` if it would not read back as ``value``."""
+    line = f"{key} = {value}"
+    m = _KEYVALUE_RE.match(_COMMENT_RE.split(line, 1)[0])
+    if line.splitlines() != [line] or m is None or m.group(2) != value:
+        raise BellboxError(
+            f"metadata {key} {value!r} would not read back from the text format",
+            code="UNREADABLE_METADATA",
+        )
+    return line
 
 
 def _serialize_behavior(behavior: Behavior) -> list[str]:

@@ -10,8 +10,9 @@ from __future__ import annotations
 class BellboxError(Exception):
     """Base class for all library errors.
 
-    Raised as itself with codes INTERNAL (a failed proof check) and
-    TOO_LONG_TO_PRINT (a rational the text format cannot carry).
+    Raised as itself with codes INTERNAL (a failed proof check),
+    TOO_LONG_TO_PRINT (a rational the text format cannot carry) and
+    UNREADABLE_METADATA (a metadata value the text format cannot carry).
     """
 
     def __init__(self, message: str, *, code: str = "INTERNAL") -> None:

@@ -254,13 +254,13 @@ def context_causes(
 def exact_behavior_noncontextual(model: NonContextualModel) -> Behavior:
     """Cause-weighted mixture of per-cause product tables; exact on exact input."""
     validate_noncontextual(model)
-    return _mixture_table(model)
+    return _mixture_table(model.scenario, _model_terms(model))
 
 
 def exact_behavior_contextual(model: ContextualModel) -> Behavior:
     """Per-context cause mixtures; each context uses its own cause set."""
     validate_contextual(model)
-    return _mixture_table(model)
+    return _mixture_table(model.scenario, _model_terms(model))
 
 
 def exact_behavior(model: Model) -> Behavior:
@@ -273,25 +273,37 @@ def exact_behavior(model: Model) -> Behavior:
     order from ``Fraction(0)``, skipping Alice's zero entries.
     """
     validate_model(model)
-    return _mixture_table(model)
+    return _mixture_table(model.scenario, _model_terms(model))
 
 
-def _mixture_table(model: Model) -> Behavior:
-    scenario = model.scenario
-    table: dict[Context, tuple[tuple[Prob, ...], ...]] = {}
-    for ctx in scenario.contexts():
+#: One cause acting in one context: ``(weight, alice_row, bob_row)``.
+Term = tuple[Prob, tuple[Prob, ...], tuple[Prob, ...]]
+
+
+def _model_terms(model: Model) -> dict[Context, list[Term]]:
+    """The terms of every context of a model, causes in model order."""
+    terms: dict[Context, list[Term]] = {}
+    for ctx in model.scenario.contexts():
         causes, alice, bob = context_causes(model, ctx)
-        terms = [
+        terms[ctx] = [
             (c.weight, alice.outcome_probs(ctx.alice, c.id), bob.outcome_probs(ctx.bob, c.id))
             for c in causes
         ]
+    return terms
+
+
+def _mixture_table(scenario: Scenario, by_context: dict[Context, Sequence[Term]]) -> Behavior:
+    """The joint table of per-context terms that are already known to be valid."""
+    table: dict[Context, tuple[tuple[Prob, ...], ...]] = {}
+    for ctx in scenario.contexts():
+        terms = by_context[ctx]
         exact = all(isinstance(v, (int, Fraction)) for w, ra, rb in terms for v in (w, *ra, *rb))
         grid = _exact_grid if exact else _float_grid
         table[ctx] = grid(terms, scenario.alice_outcomes[ctx.alice], scenario.bob_outcomes[ctx.bob])
     return Behavior(scenario, table)
 
 
-def _exact_grid(terms: list, na: int, nb: int) -> tuple[tuple[Fraction, ...], ...]:
+def _exact_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[tuple[Fraction, ...], ...]:
     # Weights, Alice entries and Bob entries each over their own lcm, so
     # every product is an integer over the product of the three.
     lw = math.lcm(*[w.denominator for w, _, _ in terms])
@@ -311,7 +323,7 @@ def _exact_grid(terms: list, na: int, nb: int) -> tuple[tuple[Fraction, ...], ..
     return tuple([tuple([Fraction(n, den) for n in row]) for row in cells])
 
 
-def _float_grid(terms: list, na: int, nb: int) -> tuple[tuple[Prob, ...], ...]:
+def _float_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[tuple[Prob, ...], ...]:
     cells: list[list[Prob]] = [[Fraction(0) for _ in range(nb)] for _ in range(na)]
     for w, ra, rb in terms:
         for a in range(na):

@@ -1,5 +1,6 @@
 """Document parsing, canonical serialization, builtins, and fuzz totality."""
 
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from bellbox import document
 from bellbox import (
     BUILTIN_NAMES,
+    BellboxError,
     Context,
     UnknownBuiltinError,
     builtin_document,
@@ -129,6 +131,8 @@ class TestParsing:
         text = "".join(c + "#" for c in chars)
         hits = [m.start() // 2 for m in document._COMMENT_RE.finditer(text)]
         assert hits == [i for i, c in enumerate(chars) if c.isspace()]
+        # Columns come from the same class: its tokens are str.split()'s.
+        assert [m.group() for m in document._TOKEN_RE.finditer(text)] == text.split()
 
     def test_unnormalized_cause_set_names_the_block(self):
         text = (
@@ -187,6 +191,18 @@ class TestParsing:
         value = result.document.behavior.prob(Context(0, 0), 1, 1)
         assert value == 0.5 and isinstance(value, float)
         assert not [d for d in result.diagnostics if d.severity == "note"]
+
+    def test_second_numbers_key_is_a_duplicate(self):
+        text = (
+            "bellbox-format 1\n[scenario]\nalice = A\nbob = B\n"
+            "[behavior]\nnumbers = float\n  numbers = exact\n"
+            "P(1,1 | A,B) = 0.5\nP(2,2 | A,B) = 0.5\n"
+        )
+        result = parse_document(text)
+        assert not result.ok
+        assert [d.render() for d in result.errors()] == [
+            "error:7:3: SYNTAX: duplicate behavior key near 'numbers'"
+        ]
 
     def test_duplicate_entry_rejected(self):
         text = (
@@ -296,6 +312,21 @@ class TestRoundTrip:
         out = serialize_document(result.document)
         assert "P(1,1 | A,B) = 1/2" in out
         assert "2/4" not in out
+
+    @pytest.mark.parametrize("key", ["name", "description"])
+    @pytest.mark.parametrize(
+        "value", ["a #b", "#lead", "  padded  ", "x\ny", "a\x0cb", "a\u2028b", "tail\t"]
+    )
+    def test_metadata_that_would_not_read_back_is_refused(self, key, value):
+        doc = dataclasses.replace(builtin_document("socks-on"), **{key: value})
+        with pytest.raises(BellboxError) as exc:
+            serialize_document(doc)
+        assert exc.value.code == "UNREADABLE_METADATA"
+
+    @pytest.mark.parametrize("value", ["", "a#b", "a = b", "tab\tinside", "[scenario]"])
+    def test_metadata_that_reads_back_round_trips(self, value):
+        doc = dataclasses.replace(builtin_document("socks-on"), name=value, description=value)
+        assert parse_document(serialize_document(doc)).document == doc
 
     def test_contexts_canonicalized_in_order(self):
         doc = builtin_document("socks-off")

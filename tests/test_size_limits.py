@@ -110,3 +110,63 @@ class TestTableCellCap:
     def test_a_scenario_at_the_cap_parses(self):
         assert MAX_TABLE_CELLS % 2 == 0
         assert parse_document(_one_row_behavior(str(MAX_TABLE_CELLS // 2))).ok
+
+
+_SCENARIO_HEAD = "bellbox-format 1\n\n[scenario]\n"
+_TOKENS = 20_000
+
+
+class TestManyTokensOnOneLine:
+    """A line of many tokens, each with its own diagnostic, parses in one pass over the line."""
+
+    @pytest.mark.parametrize(
+        "text, diagnostics",
+        [
+            (
+                _SCENARIO_HEAD
+                + "alice = A\nbob = B\nalice_outcomes = "
+                + " ".join(["1"] * _TOKENS)
+                + "\nbob_outcomes = 2\n",
+                _TOKENS + 2,
+            ),
+            (
+                _SCENARIO_HEAD
+                + "alice = "
+                + " ".join(["A"] * _TOKENS)
+                + "\nbob = B\nalice_outcomes = 2\nbob_outcomes = 2\n",
+                _TOKENS,
+            ),
+            (
+                _SCENARIO_HEAD
+                + "alice = "
+                + " ".join(["@"] * _TOKENS)
+                + "\nbob = B\nalice_outcomes = 2\nbob_outcomes = 2\n",
+                _TOKENS + 2,
+            ),
+            (
+                _SCENARIO_HEAD
+                + "alice = A\nbob = B\n\n[singlet]\nalice_angles_deg = "
+                + " ".join(["x"] * _TOKENS)
+                + "\nbob_angles_deg = 0\n",
+                _TOKENS + 1,
+            ),
+        ],
+        ids=["bad outcome counts", "duplicate labels", "bad labels", "bad angles"],
+    )
+    def test_one_diagnostic_per_token_is_quick(self, text, diagnostics):
+        start = time.perf_counter()
+        result = parse_document(text)
+        assert time.perf_counter() - start < 0.5
+        assert result.document is None
+        assert len(result.diagnostics) == diagnostics
+        # Each token is one character, so the last one on the long line is at its length.
+        assert max(d.column for d in result.diagnostics) == max(map(len, text.splitlines()))
+
+    def test_many_distinct_labels_are_quick(self):
+        labels = " ".join(f"A{i}" for i in range(_TOKENS))
+        start = time.perf_counter()
+        result = parse_document(_SCENARIO_HEAD + f"alice = {labels}\nbob = B\n")
+        assert time.perf_counter() - start < 0.5
+        # The scenario reads; only the payload is missing.
+        [diagnostic] = result.diagnostics
+        assert diagnostic.message.startswith("SYNTAX: document needs exactly one of [behavior]")

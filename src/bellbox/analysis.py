@@ -28,6 +28,7 @@ from .scenario import (
     Context,
     Prob,
     Scenario,
+    SealedDict,
     _marginal_table,
     exact_sum,
     expectation,
@@ -258,14 +259,11 @@ class InfeasibilityCertificate:
     behavior_value: Fraction
     local_bound: Fraction
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coefficients", SealedDict(self.coefficients))
+
     def evaluate(self, behavior: Behavior) -> Prob:
-        coefficients = self.coefficients
-        terms = [
-            coeff * value
-            for ctx, a, b, value in behavior.entries()
-            if (coeff := coefficients.get((ctx, a, b), 0)) != 0
-        ]
-        return exact_sum(terms)
+        return _functional_value(self.coefficients, behavior)
 
     def strategy_bound(self) -> Fraction:
         scenario = self.scenario
@@ -278,14 +276,7 @@ class InfeasibilityCertificate:
                     "of the scenario",
                     code="SCENARIO_SHAPE",
                 )
-        items = list(self.coefficients.items())
-        best: Fraction | None = None
-        for strategy in strategies:
-            value = exact_sum([coeff for (ctx, a, b), coeff in items if strategy.hits(ctx, a, b)])
-            if best is None or value > best:
-                best = value
-        assert best is not None
-        return best
+        return _strategy_bound(self.coefficients, strategies)
 
     def verify(self, behavior: Behavior) -> bool:
         """Recompute both sides from scratch against ``behavior``."""
@@ -293,6 +284,18 @@ class InfeasibilityCertificate:
             self.strategy_bound() == self.local_bound
             and self.evaluate(behavior) > self.local_bound
         )
+
+
+def _functional_value(coefficients: dict, behavior: Behavior) -> Prob:
+    """Sum of coefficient times entry over the behavior's entries, in entry order."""
+    entries = behavior.entries()
+    return exact_sum([c * v for ctx, a, b, v in entries if (c := coefficients.get((ctx, a, b), 0)) != 0])
+
+
+def _strategy_bound(coefficients: dict, strategies: Sequence[DeterministicStrategy]) -> Fraction:
+    """The functional's maximum over the deterministic strategies."""
+    items = list(coefficients.items())
+    return max(exact_sum([c for (ctx, a, b), c in items if s.hits(ctx, a, b)]) for s in strategies)
 
 
 @dataclass(frozen=True)
@@ -401,42 +404,25 @@ def local_membership(behavior: Behavior, *, _valid: bool = False) -> MembershipR
 
     if outcome.certificate is None:
         raise BellboxError("membership solver returned no certificate", code="INTERNAL")
-    certificate = _build_certificate(tested, entry_keys, outcome.certificate)
-    if not certificate.verify(tested):
-        raise BellboxError(
-            "separating functional does not separate the tested behavior",
-            code="INTERNAL",
-        )
-    return MembershipResult(False, None, certificate, tested, snap_error)
-
-
-def _build_certificate(
-    tested: Behavior,
-    entry_keys: Sequence[tuple[Context, int, int]],
-    farkas: tuple[Fraction, ...],
-) -> InfeasibilityCertificate:
     # Drop the weight-normalization row and rescale to an integer
     # functional; scaling by a positive constant preserves the separation.
     # Each c * lcm(denominators) / gcd(numerators) is an integer.
-    coeffs = list(farkas[: len(entry_keys)])
+    coeffs = list(outcome.certificate[: len(entry_keys)])
     denominators = [c.denominator for c in coeffs if c != 0]
     numerators = [c.numerator for c in coeffs if c != 0]
     if numerators:
         lcm, gcd = math.lcm(*denominators), math.gcd(*numerators)
         coeffs = [Fraction(c.numerator * (lcm // c.denominator) // gcd) for c in coeffs]
-    coefficients = {
-        key: coeff for key, coeff in zip(entry_keys, coeffs) if coeff != 0
-    }
-    certificate = InfeasibilityCertificate(
-        tested.scenario,
-        coefficients,
-        behavior_value=Fraction(0),
-        local_bound=Fraction(0),
-    )
-    value = certificate.evaluate(tested)
-    assert isinstance(value, Fraction)
-    bound = certificate.strategy_bound()
-    return InfeasibilityCertificate(tested.scenario, coefficients, value, bound)
+    coefficients = {key: coeff for key, coeff in zip(entry_keys, coeffs) if coeff != 0}
+    value = _functional_value(coefficients, tested)
+    bound = _strategy_bound(coefficients, strategies)
+    if not value > bound:
+        raise BellboxError(
+            "separating functional does not separate the tested behavior",
+            code="INTERNAL",
+        )
+    certificate = InfeasibilityCertificate(scenario, coefficients, value, bound)
+    return MembershipResult(False, None, certificate, tested, snap_error)
 
 
 # ---------------------------------------------------------------------------

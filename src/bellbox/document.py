@@ -9,11 +9,12 @@ it begins the line or follows whitespace.  The full grammar lives in
 
 Parsing is total: malformed input produces :class:`ParseDiagnostic` entries
 with line and column positions, never an exception.  Each cause weight and
-response row is checked once, as it is read, and a parsed model document
-builds its table from the terms so checked.  Serialization is canonical
-(fixed section order, sorted keys, reduced rationals, contexts in
-lexicographic order) and idempotent, and ``parse(serialize(d))`` returns a
-structurally equal document; a value the text cannot carry raises instead.
+response row is checked once, as it is read, and a parsed model keeps the
+terms so checked, from which ``exact_behavior`` builds its table.
+Serialization is canonical (fixed section order, sorted keys, reduced
+rationals, contexts in lexicographic order) and idempotent, and
+``parse(serialize(d))`` returns a structurally equal document; a value the
+text cannot carry raises instead.
 
 Probability literals are rationals ``p/q`` or decimals.  In the default
 exact mode a decimal is converted to a rational with denominator at most
@@ -38,8 +39,7 @@ from .models import (
     NonContextualModel,
     QuantumDirections,
     ResponseFunction,
-    Term,
-    _mixture_table,
+    _checked,
     exact_behavior,
     singlet_behavior,
     socks_color,
@@ -127,10 +127,6 @@ class ModelDocument:
     contextual: ContextualModel | None = None
     singlet: SingletSpec | None = None
 
-    # context -> checked terms, set by the parser.  Not a field, so equality,
-    # repr and ``dataclasses.replace`` leave it out.
-    _terms = None
-
     def __post_init__(self) -> None:
         if sum(getattr(self, name) is not None for name in _PAYLOAD_NAMES) != 1:
             raise ValueError("document needs exactly one payload section")
@@ -146,21 +142,12 @@ class ModelDocument:
         return self.contextual
 
     def to_behavior(self) -> Behavior:
-        """The behavior this document denotes (computed for model payloads).
-
-        A parsed model document's comes from the terms its parser checked,
-        a snapshot of the model as read: an in-place change to the model's
-        dicts afterwards is neither seen nor validated.
-        """
+        """The behavior this document denotes (computed for model payloads)."""
         if self.behavior is not None:
             return self.behavior
         if self.singlet is not None:
             return singlet_behavior(self.singlet.directions(), self.scenario)
-        if self._terms is not None:
-            return _mixture_table(self.scenario, self._terms)
-        model = self.model()
-        assert model is not None
-        return exact_behavior(model)
+        return exact_behavior(self.model())  # type: ignore[arg-type]
 
 
 @dataclass
@@ -186,7 +173,6 @@ class _DocParser:
         self.diags: list[ParseDiagnostic] = []
         self.lines = text.splitlines()
         self.exact_literals: dict[str, Fraction] = {}  # token -> value, this parse only
-        self.terms: dict[Context, tuple[Term, ...]] | None = None  # of a model payload
         self.token_starts: dict[str, list[int]] = {}  # text -> its tokens' starts, this parse only
 
     def column(self, text: str, k: int, offset: int = 0) -> int:
@@ -336,7 +322,6 @@ def parse_document(text: str) -> ParseResult:
         description=metadata.get("description"),
         **{kind: payload},
     )
-    object.__setattr__(document, "_terms", p.terms)
     return ParseResult(document, p.diags)
 
 
@@ -624,6 +609,7 @@ class _CauseAccumulator:
         self.where = where
         self.settings = settings  # party -> setting indices each cause answers for
         self.causes: list[tuple[str, Prob, int]] = []  # (id, weight, line)
+        self.ids: set[str] = set()  # of self.causes
         # party -> {(setting index, cause id): row}, as ResponseFunction takes it
         self.rows: dict[str, dict[tuple[int, str], tuple[Prob, ...]]] = {"alice": {}, "bob": {}}
 
@@ -635,12 +621,13 @@ class _CauseAccumulator:
         weight = self.p.parse_probability(tokens[3], line_no, (text, 3), as_float=False)
         if cause_id is None or weight is None:
             return
-        if any(c[0] == cause_id for c in self.causes):
+        if cause_id in self.ids:
             self.p.error(line_no, (text, 1), "SYNTAX: duplicate cause id", cause_id)
             return
         if weight.numerator < 0:
             self.p.error(line_no, (text, 3), f"UNNORMALIZED: negative weight in {self.where}")
             return
+        self.ids.add(cause_id)
         self.causes.append((cause_id, weight, line_no))
 
     def on_respond(self, line_no: int, text: str, tokens: list[str]) -> None:
@@ -701,11 +688,6 @@ class _CauseAccumulator:
             return
         rows[(setting, cause_id)] = tuple(row)
 
-    def terms(self, ctx: Context) -> tuple[Term, ...]:
-        """``(weight, alice_row, bob_row)`` of each cause, in order, in one context."""
-        alice, bob = self.rows["alice"], self.rows["bob"]
-        return tuple([(w, alice[ctx.alice, cid], bob[ctx.bob, cid]) for cid, w, _ in self.causes])
-
     def finish(
         self, section_line: int
     ) -> tuple[tuple[Cause, ...], ResponseFunction, ResponseFunction] | None:
@@ -757,8 +739,7 @@ def _build_noncontextual(
     built = acc.finish(lines[0][0] if lines else 1)
     if built is None:
         return None
-    p.terms = {ctx: acc.terms(ctx) for ctx in scenario.contexts()}
-    return NonContextualModel(scenario, *built)
+    return _checked(NonContextualModel(scenario, *built))
 
 
 def _build_contextual(
@@ -812,8 +793,7 @@ def _build_contextual(
             )
     if p.has_errors():
         return None
-    p.terms = {ctx: block_acc.terms(ctx) for ctx, (_, block_acc) in pending.items()}
-    return ContextualModel(scenario, blocks)
+    return _checked(ContextualModel(scenario, blocks))
 
 
 def _build_singlet(

@@ -32,6 +32,7 @@ from .scenario import (
     Party,
     Prob,
     Scenario,
+    SealedDict,
     exact_sum,
     is_exact,
     printable,
@@ -58,7 +59,7 @@ class ResponseFunction:
 
     def __post_init__(self) -> None:
         frozen = {key: tuple(row) for key, row in self.table.items()}
-        object.__setattr__(self, "table", frozen)
+        object.__setattr__(self, "table", SealedDict(frozen))
 
     def outcome_probs(self, setting: int, cause_id: str) -> tuple[Prob, ...]:
         try:
@@ -92,6 +93,10 @@ class NonContextualModel:
     alice_response: ResponseFunction
     bob_response: ResponseFunction
 
+    # context -> its checked ``Term``s, set once (``_checked``).  Not a field, so
+    # equality, repr and ``dataclasses.replace`` leave it out.
+    _terms = None
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "causes", tuple(self.causes))
 
@@ -121,8 +126,10 @@ class ContextualModel:
     scenario: Scenario
     blocks: dict[Context, ContextBlock]
 
+    _terms = None  # as on NonContextualModel
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", dict(self.blocks))
+        object.__setattr__(self, "blocks", SealedDict(self.blocks))
 
 
 def _check_causes(causes: Sequence[Cause], where: str) -> None:
@@ -220,8 +227,9 @@ def validate_contextual(model: ContextualModel) -> ContextualModel:
         for cause in block.causes:
             _check_response_row(block.alice_response, ctx.alice, cause.id, na, where)
             _check_response_row(block.bob_response, ctx.bob, cause.id, nb, where)
+    known = set(scenario.contexts())
     for ctx in model.blocks:
-        if ctx not in set(scenario.contexts()):
+        if ctx not in known:
             raise ModelError(
                 f"block for unknown context ({ctx.alice},{ctx.bob})",
                 code="MODEL_INVALID",
@@ -253,27 +261,34 @@ def context_causes(
 
 def exact_behavior_noncontextual(model: NonContextualModel) -> Behavior:
     """Cause-weighted mixture of per-cause product tables; exact on exact input."""
-    validate_noncontextual(model)
-    return _mixture_table(model.scenario, _model_terms(model))
+    return exact_behavior(model)
 
 
 def exact_behavior_contextual(model: ContextualModel) -> Behavior:
     """Per-context cause mixtures; each context uses its own cause set."""
-    validate_contextual(model)
-    return _mixture_table(model.scenario, _model_terms(model))
+    return exact_behavior(model)
 
 
 def exact_behavior(model: Model) -> Behavior:
     """Validate a model of either family and compute its joint table.
 
-    Entry ``(a, b)`` of a context is the sum over its causes of
-    ``weight * alice_row[a] * bob_row[b]``.  Exact contexts are summed on
-    integers over one common denominator and give the same Fractions as
-    ``Fraction`` arithmetic; contexts with a float add the products in cause
-    order from ``Fraction(0)``, skipping Alice's zero entries.
+    A model is validated once: the parser, or the first call, keeps its
+    checked terms on it (``_checked``).  Entry ``(a, b)`` of a context is the
+    sum over its causes of ``weight * alice_row[a] * bob_row[b]``.  Exact
+    contexts are summed on integers over one common denominator and give the
+    same Fractions as ``Fraction`` arithmetic; contexts with a float add the
+    products in cause order from ``Fraction(0)``, skipping Alice's zero entries.
     """
-    validate_model(model)
-    return _mixture_table(model.scenario, _model_terms(model))
+    if model._terms is None:
+        _checked(validate_model(model))
+    return _mixture_table(model.scenario, model._terms)
+
+
+def _checked(model: Model) -> Model:
+    """A model known to be valid, given its terms so that it is not validated again."""
+    # Two threads may both set them; the terms are equal, so either one stands.
+    object.__setattr__(model, "_terms", _model_terms(model))
+    return model
 
 
 #: One cause acting in one context: ``(weight, alice_row, bob_row)``.
@@ -281,14 +296,12 @@ Term = tuple[Prob, tuple[Prob, ...], tuple[Prob, ...]]
 
 
 def _model_terms(model: Model) -> dict[Context, list[Term]]:
-    """The terms of every context of a model, causes in model order."""
+    """The terms of every context of a valid model, causes in model order."""
     terms: dict[Context, list[Term]] = {}
     for ctx in model.scenario.contexts():
         causes, alice, bob = context_causes(model, ctx)
-        terms[ctx] = [
-            (c.weight, alice.outcome_probs(ctx.alice, c.id), bob.outcome_probs(ctx.bob, c.id))
-            for c in causes
-        ]
+        x, y, alice_rows, bob_rows = ctx.alice, ctx.bob, alice.table, bob.table
+        terms[ctx] = [(c.weight, alice_rows[x, c.id], bob_rows[y, c.id]) for c in causes]
     return terms
 
 

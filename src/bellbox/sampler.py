@@ -47,7 +47,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import SamplerError
 from .models import Model, context_causes, validate_model
-from .scenario import Behavior, Context, Prob, Scenario
+from .scenario import Behavior, Context, Prob, Scenario, SealedDict
 
 _MASK64 = (1 << 64) - 1
 _K0 = 0x9E3779B97F4A7C15
@@ -135,6 +135,9 @@ class EmpiricalBehavior:
 
     scenario: Scenario
     counts: dict[Context, tuple[tuple[int, ...], ...]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", SealedDict(self.counts))
 
     def total(self, context: Context) -> int:
         rows = self.counts.get(context)

@@ -94,6 +94,24 @@ def sums_to_one(total: Prob) -> bool:
     return total == 1 if isinstance(total, Fraction) else not abs(total - 1) > FLOAT_ATOL
 
 
+class SealedDict(dict):
+    """A read-only ``dict``: the type of every mapping field of a frozen dataclass.
+
+    Every mutator raises ``TypeError``.  ``repr``, equality and ``isinstance(x,
+    dict)`` are a plain dict's, and pickling or copying gives a sealed copy.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args: object, **kwargs: object) -> None:
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self) -> tuple:
+        return type(self), (dict(self),)
+
+
 def outcome_sign(index: int) -> int:
     """Signed value of a two-outcome measurement: index 1 is +1, index 2 is -1.
 
@@ -218,18 +236,15 @@ class Context:
 class Behavior:
     """Joint outcome probabilities ``table[ctx][a-1][b-1]`` for every context.
 
-    Treat instances as immutable; all operations return new objects.
+    Instances are immutable; all operations return new objects.
     """
 
     scenario: Scenario
     table: dict[Context, tuple[tuple[Prob, ...], ...]]
 
     def __post_init__(self) -> None:
-        frozen = {
-            ctx: tuple(tuple(row) for row in rows)
-            for ctx, rows in self.table.items()
-        }
-        object.__setattr__(self, "table", frozen)
+        frozen = {ctx: tuple(tuple(row) for row in rows) for ctx, rows in self.table.items()}
+        object.__setattr__(self, "table", SealedDict(frozen))
 
     def prob(self, context: Context, a: int, b: int) -> Prob:
         """Entry for 1-based outcome indices ``a`` (Alice) and ``b`` (Bob)."""
@@ -343,6 +358,9 @@ class MarginalTable:
 
     scenario: Scenario
     rows: dict[tuple[Party, int, int], tuple[Prob, ...]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", SealedDict(self.rows))
 
     def row(self, party: Party, setting: int, co_setting: int) -> tuple[Prob, ...]:
         return self.rows[(party, setting, co_setting)]

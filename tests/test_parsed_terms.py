@@ -1,10 +1,11 @@
-"""A parsed model document builds its table from the terms its parser checked.
+"""A parsed model builds its table from the terms its parser checked.
 
-``to_behavior`` on a parsed noncontextual or contextual document reads the
-``(weight, alice_row, bob_row)`` terms the parser kept and does not validate
-the model a second time; every other model document, including one made by
-``dataclasses.replace``, still goes through ``exact_behavior``.  Both paths
-must give the same table, value for value and type for type.
+The parser keeps the ``(weight, alice_row, bob_row)`` terms on the model it
+builds, so ``to_behavior`` and ``exact_behavior`` on a parsed noncontextual
+or contextual model do not validate it a second time; every other model,
+including one made by ``dataclasses.replace``, is validated on its first
+``exact_behavior``.  Both must give the same table, value for value and
+type for type.
 """
 
 import dataclasses
@@ -21,8 +22,8 @@ from bellbox import (
     ResponseFunction,
     Scenario,
     builtin_document,
-    document,
     exact_behavior,
+    models,
     parse_document,
     serialize_document,
 )
@@ -62,15 +63,31 @@ def test_random_document_stream_matches_exact_behavior():
     assert checked > 100
 
 
+def test_parsed_terms_match_a_fresh_lowering_of_the_model():
+    # ``dataclasses.replace`` builds a model without the parsed terms, so its
+    # table comes from validating and lowering the model's own fields.
+    rand = random.Random(7)
+    texts = _corpus() + [serialize_document(random_document(rand)) for _ in range(200)]
+    checked = 0
+    for text in texts:
+        doc = parse_document(text).document
+        if doc is not None and doc.model() is not None:
+            fresh = exact_behavior(dataclasses.replace(doc.model()))
+            assert _typed(doc.to_behavior()) == _typed(fresh)
+            checked += 1
+    assert checked > 300
+
+
 @pytest.mark.parametrize("name", ["socks-on", "socks-off", "socks-color"])
 def test_parsed_model_document_does_not_validate_again(monkeypatch, name):
     doc = parse_document(serialize_document(builtin_document(name))).document
     expected = exact_behavior(doc.model())
 
     def refuse(model):
-        raise AssertionError("exact_behavior called on a parsed document")
+        raise AssertionError("a parsed model validated again")
 
-    monkeypatch.setattr(document, "exact_behavior", refuse)
+    for name in ("validate_model", "validate_noncontextual", "validate_contextual"):
+        monkeypatch.setattr(models, name, refuse)
     assert doc.to_behavior() == expected
 
 

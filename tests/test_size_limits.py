@@ -5,7 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from bellbox import BellboxError, builtin_document, exact_behavior, serialize_document
+from bellbox import (
+    BellboxError,
+    Cause,
+    ContextBlock,
+    ContextualModel,
+    ResponseFunction,
+    Scenario,
+    builtin_document,
+    exact_behavior,
+    serialize_document,
+    validate_model,
+)
 from bellbox.cli import run_cli
 from bellbox.document import (
     MAX_LITERAL_DIGITS,
@@ -170,3 +181,42 @@ class TestManyTokensOnOneLine:
         # The scenario reads; only the payload is missing.
         [diagnostic] = result.diagnostics
         assert diagnostic.message.startswith("SYNTAX: document needs exactly one of [behavior]")
+
+
+class TestManyContextsAndCauses:
+    """Model checks stay linear in the number of contexts and of causes."""
+
+    def test_a_contextual_model_at_the_cell_cap_validates_quickly(self):
+        n = 158
+        assert (2 * n) ** 2 <= MAX_TABLE_CELLS
+        scenario = Scenario.binary([f"A{i}" for i in range(n)], [f"B{i}" for i in range(n)])
+        one = (Fraction(1), Fraction(0))
+        blocks = {
+            ctx: ContextBlock(
+                (Cause("c", Fraction(1)),),
+                ResponseFunction("alice", {(ctx.alice, "c"): one}),
+                ResponseFunction("bob", {(ctx.bob, "c"): one}),
+            )
+            for ctx in scenario.contexts()
+        }
+        model = ContextualModel(scenario, blocks)
+        start = time.perf_counter()
+        assert validate_model(model) is model
+        assert time.perf_counter() - start < 1.0
+
+    def test_twenty_thousand_causes_parse_quickly(self):
+        k = 20_000
+        lines = ["bellbox-format 1", "[scenario]", "alice = A", "bob = B", "[noncontextual]"]
+        for i in range(k):
+            lines += [f"cause c{i} weight 1/{k}", "respond alice A -> 1 0", "respond bob B -> 0 1"]
+        lines.append("cause c0 weight 0")
+        text = "\n".join(lines) + "\n"
+        seconds = []
+        for _ in range(2):  # the faster of two parses, so one stall on a busy host does not count
+            start = time.perf_counter()
+            result = parse_document(text)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 1.0
+        assert [d.render() for d in result.diagnostics] == [
+            f"error:{len(lines)}:7: SYNTAX: duplicate cause id near 'c0'"
+        ]

@@ -10,11 +10,10 @@ it begins the line or follows whitespace.  The full grammar lives in
 Parsing is total: malformed input produces :class:`ParseDiagnostic` entries
 with line and column positions, never an exception.  Each cause weight and
 response row is checked once, as it is read, and a parsed model keeps the
-terms so checked, from which ``exact_behavior`` builds its table.
-Serialization is canonical (fixed section order, sorted keys, reduced
-rationals, contexts in lexicographic order) and idempotent, and
-``parse(serialize(d))`` returns a structurally equal document; a value the
-text cannot carry raises instead.
+terms so checked.  Serialization is canonical (fixed section order, sorted
+keys, reduced rationals, contexts in lexicographic order) and idempotent,
+and ``parse(serialize(d))`` returns a structurally equal document; a value
+the text cannot carry raises instead.
 
 Probability literals are rationals ``p/q`` or decimals.  In the default
 exact mode a decimal is converted to a rational with denominator at most

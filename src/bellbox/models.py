@@ -270,14 +270,13 @@ def exact_behavior_contextual(model: ContextualModel) -> Behavior:
 
 
 def exact_behavior(model: Model) -> Behavior:
-    """Validate a model of either family and compute its joint table.
+    """Validate a model of either family, once (``_checked``), and compute its joint table.
 
-    A model is validated once: the parser, or the first call, keeps its
-    checked terms on it (``_checked``).  Entry ``(a, b)`` of a context is the
-    sum over its causes of ``weight * alice_row[a] * bob_row[b]``.  Exact
-    contexts are summed on integers over one common denominator and give the
-    same Fractions as ``Fraction`` arithmetic; contexts with a float add the
-    products in cause order from ``Fraction(0)``, skipping Alice's zero entries.
+    Entry ``(a, b)`` of a context is the sum over its causes of
+    ``weight * alice_row[a] * bob_row[b]``.  Exact contexts are summed on
+    integers over one common denominator and give the same Fractions as
+    ``Fraction`` arithmetic; contexts with a float add the products in cause
+    order from ``Fraction(0)``, skipping Alice's zero entries.
     """
     if model._terms is None:
         _checked(validate_model(model))
@@ -296,12 +295,14 @@ Term = tuple[Prob, tuple[Prob, ...], tuple[Prob, ...]]
 
 
 def _model_terms(model: Model) -> dict[Context, list[Term]]:
-    """The terms of every context of a valid model, causes in model order."""
+    """The terms of every context of a model, causes in model order."""
     terms: dict[Context, list[Term]] = {}
     for ctx in model.scenario.contexts():
         causes, alice, bob = context_causes(model, ctx)
-        x, y, alice_rows, bob_rows = ctx.alice, ctx.bob, alice.table, bob.table
-        terms[ctx] = [(c.weight, alice_rows[x, c.id], bob_rows[y, c.id]) for c in causes]
+        terms[ctx] = [
+            (c.weight, alice.outcome_probs(ctx.alice, c.id), bob.outcome_probs(ctx.bob, c.id))
+            for c in causes
+        ]
     return terms
 
 

@@ -38,6 +38,8 @@ from .models import (
     NonContextualModel,
     QuantumDirections,
     ResponseFunction,
+    _answered_settings,
+    _cause_sets,
     _checked,
     exact_behavior,
     singlet_behavior,
@@ -584,29 +586,17 @@ def _build_behavior(
     return Behavior(scenario, table)
 
 
-def _all_settings(scenario: Scenario) -> dict[str, tuple[int, ...]]:
-    """Every setting of each party: those a noncontextual cause answers for."""
-    return {
-        "alice": tuple(range(len(scenario.alice_settings))),
-        "bob": tuple(range(len(scenario.bob_settings))),
-    }
-
-
-def _context_settings(ctx: Context) -> dict[str, tuple[int, ...]]:
-    """The one setting of each party that a cause of a context block answers for."""
-    return {"alice": (ctx.alice,), "bob": (ctx.bob,)}
-
-
 class _CauseAccumulator:
     """Shared cause/respond line handling for model sections."""
 
     def __init__(
-        self, p: _DocParser, scenario: Scenario, where: str, settings: dict[str, tuple[int, ...]]
+        self, p: _DocParser, scenario: Scenario, where: str, ctx: Context | None = None
     ) -> None:
         self.p = p
         self.scenario = scenario
         self.where = where
-        self.settings = settings  # party -> setting indices each cause answers for
+        # party -> setting indices each cause answers for
+        self.settings = dict(zip(("alice", "bob"), _answered_settings(scenario, ctx)))
         self.causes: list[tuple[str, Prob, int]] = []  # (id, weight, line)
         self.ids: set[str] = set()  # of self.causes
         # party -> {(setting index, cause id): row}, as ResponseFunction takes it
@@ -726,7 +716,7 @@ class _CauseAccumulator:
 def _build_noncontextual(
     p: _DocParser, scenario: Scenario, lines: list[_Line]
 ) -> NonContextualModel | None:
-    acc = _CauseAccumulator(p, scenario, "the cause set", _all_settings(scenario))
+    acc = _CauseAccumulator(p, scenario, "the cause set")
     for line_no, text in lines:
         tokens = text.split()
         if tokens[0] == "cause":
@@ -764,9 +754,7 @@ def _build_contextual(
                     f"SYNTAX: duplicate block for context {ctx.label(scenario)}",
                 )
                 continue
-            acc = _CauseAccumulator(
-                p, scenario, f"context {ctx.label(scenario)}", _context_settings(ctx)
-            )
+            acc = _CauseAccumulator(p, scenario, f"context {ctx.label(scenario)}", ctx)
             pending[ctx] = (line_no, acc)
         elif head in ("cause", "respond"):
             if acc is None:
@@ -884,20 +872,16 @@ def serialize_document(document: ModelDocument) -> str:
 
     if document.behavior is not None:
         out.extend(_serialize_behavior(document.behavior))
-    elif document.noncontextual is not None:
-        out.append("[noncontextual]")
-        out.extend(_serialize_causes(scenario, document.noncontextual, _all_settings(scenario)))
-    elif document.contextual is not None:
-        out.append("[contextual]")
-        for ctx in scenario.contexts():
-            out.append(
-                f"context {scenario.alice_settings[ctx.alice]} "
-                f"{scenario.bob_settings[ctx.bob]}"
-            )
-            block = document.contextual.blocks[ctx]
-            out.extend(_serialize_causes(scenario, block, _context_settings(ctx)))
+    elif document.singlet is None:
+        out.append(f"[{document.kind}]")
+        for _, ctx, group, *settings in _cause_sets(document.model()):
+            if ctx is not None:
+                out.append(
+                    f"context {scenario.alice_settings[ctx.alice]} "
+                    f"{scenario.bob_settings[ctx.bob]}"
+                )
+            out.extend(_serialize_causes(scenario, group, settings))
     else:
-        assert document.singlet is not None
         out.append("[singlet]")
         for key in ("alice_angles_deg", "bob_angles_deg"):
             out.append(f"{key} = " + " ".join(repr(a) for a in getattr(document.singlet, key)))
@@ -932,14 +916,15 @@ def _serialize_behavior(behavior: Behavior) -> list[str]:
 def _serialize_causes(
     scenario: Scenario,
     source: NonContextualModel | ContextBlock,
-    settings: dict[str, tuple[int, ...]],
+    settings: list[tuple[int, ...]],
 ) -> list[str]:
     out = []
+    responses = (source.alice_response, source.bob_response)
     for cause in source.causes:
         out.append(f"cause {cause.id} weight {_fmt_prob(cause.weight)}")
-        for party, response in (("alice", source.alice_response), ("bob", source.bob_response)):
+        for party, response, answered in zip(("alice", "bob"), responses, settings):
             labels = scenario.settings(party)  # type: ignore[arg-type]
-            for setting in settings[party]:
+            for setting in answered:
                 row = response.outcome_probs(setting, cause.id)
                 out.append(
                     f"respond {party} {labels[setting]} -> " + " ".join(_fmt_prob(v) for v in row)
@@ -951,36 +936,36 @@ def _serialize_causes(
 # Builtin documents
 # ---------------------------------------------------------------------------
 
-BUILTIN_NAMES = ("socks-on", "socks-off", "socks-color", "singlet-optimal")
-
-_BUILTIN_DESCRIPTIONS = {
+#: name -> (payload kind, payload builder, description)
+_BUILTINS = {
     "socks-on": (
+        "noncontextual",
+        socks_on,
         "Four equal-weight hidden states fixed before measurement; "
-        "local behavior with CHSH maximum 2."
+        "local behavior with CHSH maximum 2.",
     ),
     "socks-off": (
+        "contextual",
+        socks_off,
         "Per-context causes actualized by the joint question; reaches the "
-        "algebraic CHSH maximum 4 with no-signaling marginals."
+        "algebraic CHSH maximum 4 with no-signaling marginals.",
     ),
     "socks-color": (
+        "contextual",
+        socks_color,
         "Sock-color questions pull the pink sock to the asking side, or "
         "trigger an attention coin when both sides ask; marginals shift by "
-        "1/2 (signaling) and the computed CHSH maximum is 2."
+        "1/2 (signaling) and the computed CHSH maximum is 2.",
     ),
     "singlet-optimal": (
+        "singlet",
+        lambda: SingletSpec((0.0, 90.0), (45.0, 135.0)),
         "Two-spin zero state measured at the angle set reaching the quantum "
-        "CHSH maximum 2*sqrt(2)."
+        "CHSH maximum 2*sqrt(2).",
     ),
 }
 
-
-#: name -> (payload kind, payload builder)
-_BUILTINS = {
-    "socks-on": ("noncontextual", socks_on),
-    "socks-off": ("contextual", socks_off),
-    "socks-color": ("contextual", socks_color),
-    "singlet-optimal": ("singlet", lambda: SingletSpec((0.0, 90.0), (45.0, 135.0))),
-}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_document(name: str) -> ModelDocument:
@@ -989,11 +974,11 @@ def builtin_document(name: str) -> ModelDocument:
         raise UnknownBuiltinError(
             f"no builtin named {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         )
-    kind, build = _BUILTINS[name]
+    kind, build, description = _BUILTINS[name]
     payload = build()
     scenario = (
         Scenario.binary(("A", "A'"), ("B", "B'")) if kind == "singlet" else payload.scenario
     )
     return ModelDocument(
-        scenario=scenario, name=name, description=_BUILTIN_DESCRIPTIONS[name], **{kind: payload}
+        scenario=scenario, name=name, description=description, **{kind: payload}
     )

@@ -11,6 +11,11 @@ Two families are supported:
   set, actualized by the joint measurement itself.  Such models can reach
   the algebraic CHSH maximum of 4 and may or may not respect no-signaling.
 
+The families differ in one function, ``_cause_sets``.  Validation, the
+lowering of a model to per-context :data:`Term` lists and the serializer
+walk it; the exact table and the sampler read only the terms, which a model
+keeps once checked.
+
 The canonical instances model a subject carrying two pocket handkerchiefs
 that always share one color (pink half the time) and a pair of socks of
 which exactly one is pink.  Alice questions the left side of the subject,
@@ -23,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .errors import ModelError
 from .scenario import (
@@ -132,36 +137,47 @@ class ContextualModel:
         object.__setattr__(self, "blocks", SealedDict(self.blocks))
 
 
+def _distribution_fault(values: Sequence[Prob]) -> tuple[str, Prob] | None:
+    """The first rule ``values`` break as a distribution, with its detail, or ``None``.
+
+    ``("negative", k)`` names the first negative entry, ``("non-finite", total)``
+    an infinite or NaN total and ``("sum", total)`` a total that is not 1.
+    """
+    for k, value in enumerate(values):
+        if value < 0:
+            # Summing in order raises first where an earlier entry would.
+            exact_sum(values[:k])
+            return "negative", k
+    total = exact_sum(values)
+    if not isinstance(total, Fraction) and not math.isfinite(total):
+        return "non-finite", total
+    if not sums_to_one(total):
+        return "sum", total
+    return None
+
+
 def _check_causes(causes: Sequence[Cause], where: str) -> None:
     if not causes:
         raise ModelError(f"{where}: empty cause set", code="MODEL_INVALID")
     ids = [c.id for c in causes]
     if len(set(ids)) != len(ids):
         raise ModelError(f"{where}: duplicate cause ids {ids}", code="MODEL_INVALID")
-    weights = [c.weight for c in causes]
-    for k, cause in enumerate(causes):
-        if cause.weight < 0:
-            # Summing in order raises first where an earlier weight would.
-            exact_sum(weights[:k])
-            raise ModelError(
-                f"{where}: negative weight for cause {cause.id!r}",
-                code="MODEL_INVALID",
-            )
-    total = exact_sum(weights)
-    if not isinstance(total, Fraction) and not math.isfinite(total):
+    fault = _distribution_fault([c.weight for c in causes])
+    if fault is None:
+        return
+    rule, detail = fault
+    if rule == "negative":
+        message = f"negative weight for cause {causes[detail].id!r}"
+    elif rule == "non-finite":
         bad = [
             c.id
             for c in causes
             if not is_exact(c.weight) and not math.isfinite(c.weight)
         ]
-        raise ModelError(
-            f"{where}: non-finite weight for cause(s) {bad}", code="MODEL_INVALID"
-        )
-    if not sums_to_one(total):
-        raise ModelError(
-            f"{where}: cause weights sum to {printable(total)}, expected 1",
-            code="MODEL_INVALID",
-        )
+        message = f"non-finite weight for cause(s) {bad}"
+    else:
+        message = f"cause weights sum to {printable(detail)}, expected 1"
+    raise ModelError(f"{where}: {message}", code="MODEL_INVALID")
 
 
 def _check_response_row(
@@ -172,91 +188,82 @@ def _check_response_row(
     where: str,
 ) -> None:
     row = response.outcome_probs(setting, cause_id)
-    if len(row) != n_outcomes:
-        raise ModelError(
-            f"{where}: {response.party} row for setting {setting}, cause "
-            f"{cause_id!r} has {len(row)} entries, expected {n_outcomes}",
-            code="MODEL_INVALID",
-        )
-    for k, value in enumerate(row):
-        if value < 0:
-            # Summing in order raises first where an earlier entry would.
-            exact_sum(row[:k])
-            raise ModelError(
-                f"{where}: negative response probability for cause {cause_id!r}",
-                code="MODEL_INVALID",
-            )
-    total = exact_sum(row)
-    if not isinstance(total, Fraction) and not math.isfinite(total):
-        raise ModelError(
-            f"{where}: {response.party} row for setting {setting}, cause "
-            f"{cause_id!r} has a non-finite probability: {printable(row)}",
-            code="MODEL_INVALID",
-        )
-    if not sums_to_one(total):
-        raise ModelError(
-            f"{where}: {response.party} row for setting {setting}, cause "
-            f"{cause_id!r} sums to {printable(total)}",
-            code="MODEL_INVALID",
-        )
+    fault = ("entries", len(row)) if len(row) != n_outcomes else _distribution_fault(row)
+    if fault is None:
+        return
+    rule, detail = fault
+    head = f"{where}: {response.party} row for setting {setting}, cause {cause_id!r}"
+    if rule == "entries":
+        message = f"{head} has {detail} entries, expected {n_outcomes}"
+    elif rule == "negative":
+        message = f"{where}: negative response probability for cause {cause_id!r}"
+    elif rule == "non-finite":
+        message = f"{head} has a non-finite probability: {printable(row)}"
+    else:
+        message = f"{head} sums to {printable(detail)}"
+    raise ModelError(message, code="MODEL_INVALID")
 
 
-def validate_noncontextual(model: NonContextualModel) -> NonContextualModel:
-    """Raise ``ModelError`` unless the model is fully specified and normalized."""
-    _check_causes(model.causes, "model")
+def _answered_settings(scenario: Scenario, ctx: Context | None) -> tuple[tuple[int, ...], ...]:
+    """Alice's and Bob's settings a cause answers: all of them when ``ctx`` is ``None``."""
+    if ctx is None:
+        return tuple(range(len(scenario.alice_settings))), tuple(range(len(scenario.bob_settings)))
+    return (ctx.alice,), (ctx.bob,)
+
+
+def _cause_sets(model: Model) -> Iterator[tuple]:
+    """``(where, ctx, group, alice_settings, bob_settings)`` per cause set, in check order.
+
+    This is where the two families differ.  A noncontextual model is one
+    set, shared by every context (``ctx`` is ``None``).  A contextual model
+    has one per context, in scenario order: ``group`` is the context's block,
+    and a missing one raises ``MODEL_INVALID`` when its context is reached.
+    """
     scenario = model.scenario
-    for cause in model.causes:
-        for x, n in enumerate(scenario.alice_outcomes):
-            _check_response_row(model.alice_response, x, cause.id, n, "model")
-        for y, n in enumerate(scenario.bob_outcomes):
-            _check_response_row(model.bob_response, y, cause.id, n, "model")
-    return model
-
-
-def validate_contextual(model: ContextualModel) -> ContextualModel:
-    """Raise ``ModelError`` unless every context block is complete and normalized."""
-    scenario = model.scenario
+    if isinstance(model, NonContextualModel):
+        yield ("model", None, model, *_answered_settings(scenario, None))
+        return
     for ctx in scenario.contexts():
-        block = model.blocks.get(ctx)
         where = f"context {ctx.label(scenario)}"
+        block = model.blocks.get(ctx)
         if block is None:
             raise ModelError(f"missing block for {where}", code="MODEL_INVALID")
-        _check_causes(block.causes, where)
-        na = scenario.alice_outcomes[ctx.alice]
-        nb = scenario.bob_outcomes[ctx.bob]
-        for cause in block.causes:
-            _check_response_row(block.alice_response, ctx.alice, cause.id, na, where)
-            _check_response_row(block.bob_response, ctx.bob, cause.id, nb, where)
-    known = set(scenario.contexts())
-    for ctx in model.blocks:
-        if ctx not in known:
-            raise ModelError(
-                f"block for unknown context ({ctx.alice},{ctx.bob})",
-                code="MODEL_INVALID",
-            )
-    return model
+        yield (where, ctx, block, *_answered_settings(scenario, ctx))
 
 
 def validate_model(model: Model) -> Model:
-    if isinstance(model, NonContextualModel):
-        return validate_noncontextual(model)
-    return validate_contextual(model)
+    """Raise ``ModelError`` unless every cause set is complete and normalized."""
+    scenario = model.scenario
+    for where, _, group, xs, ys in _cause_sets(model):
+        _check_causes(group.causes, where)
+        for cause in group.causes:
+            for x in xs:
+                _check_response_row(
+                    group.alice_response, x, cause.id, scenario.alice_outcomes[x], where
+                )
+            for y in ys:
+                _check_response_row(
+                    group.bob_response, y, cause.id, scenario.bob_outcomes[y], where
+                )
+    if isinstance(model, ContextualModel):
+        known = set(scenario.contexts())
+        for ctx in model.blocks:
+            if ctx not in known:
+                raise ModelError(
+                    f"block for unknown context ({ctx.alice},{ctx.bob})",
+                    code="MODEL_INVALID",
+                )
+    return model
+
+
+# Both take a model of either family, as ``exact_behavior_*`` do.
+validate_noncontextual = validate_contextual = validate_model
 
 
 def _product_grid(
     alice_row: tuple[Prob, ...], bob_row: tuple[Prob, ...]
 ) -> tuple[tuple[Prob, ...], ...]:
     return tuple(tuple(pa * pb for pb in bob_row) for pa in alice_row)
-
-
-def context_causes(
-    model: Model, ctx: Context
-) -> tuple[tuple[Cause, ...], ResponseFunction, ResponseFunction]:
-    """The causes and both responses acting in one context of either family."""
-    if isinstance(model, NonContextualModel):
-        return model.causes, model.alice_response, model.bob_response
-    block = model.blocks[ctx]
-    return block.causes, block.alice_response, block.bob_response
 
 
 def exact_behavior_noncontextual(model: NonContextualModel) -> Behavior:
@@ -284,25 +291,29 @@ def exact_behavior(model: Model) -> Behavior:
 
 
 def _checked(model: Model) -> Model:
-    """A model known to be valid, given its terms so that it is not validated again."""
-    # Two threads may both set them; the terms are equal, so either one stands.
-    object.__setattr__(model, "_terms", _model_terms(model))
+    """A model known to be valid, given its terms once so that it is not validated again."""
+    if model._terms is None:
+        # Two threads may both set them; the terms are equal, so either one stands.
+        object.__setattr__(model, "_terms", _model_terms(model))
     return model
 
 
-#: One cause acting in one context: ``(weight, alice_row, bob_row)``.
-Term = tuple[Prob, tuple[Prob, ...], tuple[Prob, ...]]
+#: One cause acting in one context: ``(cause_id, weight, alice_row, bob_row)``.
+Term = tuple[str, Prob, tuple[Prob, ...], tuple[Prob, ...]]
 
 
 def _model_terms(model: Model) -> dict[Context, list[Term]]:
     """The terms of every context of a model, causes in model order."""
+    contexts = model.scenario.contexts()
     terms: dict[Context, list[Term]] = {}
-    for ctx in model.scenario.contexts():
-        causes, alice, bob = context_causes(model, ctx)
-        terms[ctx] = [
-            (c.weight, alice.outcome_probs(ctx.alice, c.id), bob.outcome_probs(ctx.bob, c.id))
-            for c in causes
-        ]
+    for _, shared, group, _, _ in _cause_sets(model):
+        alice, bob = group.alice_response, group.bob_response
+        for ctx in contexts if shared is None else (shared,):
+            x, y = ctx.alice, ctx.bob
+            terms[ctx] = [
+                (c.id, c.weight, alice.outcome_probs(x, c.id), bob.outcome_probs(y, c.id))
+                for c in group.causes
+            ]
     return terms
 
 
@@ -311,7 +322,7 @@ def _mixture_table(scenario: Scenario, by_context: dict[Context, Sequence[Term]]
     table: dict[Context, tuple[tuple[Prob, ...], ...]] = {}
     for ctx in scenario.contexts():
         terms = by_context[ctx]
-        exact = all(isinstance(v, (int, Fraction)) for w, ra, rb in terms for v in (w, *ra, *rb))
+        exact = all(isinstance(v, (int, Fraction)) for _, w, ra, rb in terms for v in (w, *ra, *rb))
         grid = _exact_grid if exact else _float_grid
         table[ctx] = grid(terms, scenario.alice_outcomes[ctx.alice], scenario.bob_outcomes[ctx.bob])
     return Behavior(scenario, table)
@@ -320,11 +331,11 @@ def _mixture_table(scenario: Scenario, by_context: dict[Context, Sequence[Term]]
 def _exact_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[tuple[Fraction, ...], ...]:
     # Weights, Alice entries and Bob entries each over their own lcm, so
     # every product is an integer over the product of the three.
-    lw = math.lcm(*[w.denominator for w, _, _ in terms])
-    la = math.lcm(*[v.denominator for _, ra, _ in terms for v in ra])
-    lb = math.lcm(*[v.denominator for _, _, rb in terms for v in rb])
+    lw = math.lcm(*[w.denominator for _, w, _, _ in terms])
+    la = math.lcm(*[v.denominator for _, _, ra, _ in terms for v in ra])
+    lb = math.lcm(*[v.denominator for _, _, _, rb in terms for v in rb])
     cells = [[0] * nb for _ in range(na)]
-    for w, ra, rb in terms:
+    for _, w, ra, rb in terms:
         wn = w.numerator * (lw // w.denominator)
         bn = [v.numerator * (lb // v.denominator) for v in rb]
         for a, pa in enumerate(ra):
@@ -339,7 +350,7 @@ def _exact_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[tuple[Fraction
 
 def _float_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[tuple[Prob, ...], ...]:
     cells: list[list[Prob]] = [[Fraction(0) for _ in range(nb)] for _ in range(na)]
-    for w, ra, rb in terms:
+    for _, w, ra, rb in terms:
         for a in range(na):
             if ra[a] == 0:
                 continue
@@ -351,7 +362,7 @@ def _float_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[tuple[Prob, ..
 
 def condition_on_cause(model: NonContextualModel, cause_id: str) -> Behavior:
     """Behavior with one cause held fixed: a product table in every context."""
-    validate_noncontextual(model)
+    validate_model(model)
     model.cause(cause_id)
     scenario = model.scenario
     table = {

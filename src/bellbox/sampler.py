@@ -25,7 +25,9 @@ Sampling is inverse-CDF over causes and outcomes in declaration order;
 zero-weight entries are pruned first so exact cumulative sums are strictly
 increasing and ties are impossible.  Inverse-CDF comparisons are exact,
 because ``u < c`` holds exactly when ``(word >> 11) < ceil(c * 2**53)``,
-for rational and float cumulative weights ``c`` alike.
+for rational and float cumulative weights ``c`` alike.  Every call validates
+its model, then reads only the model's checked per-context terms
+``(cause_id, weight, alice_row, bob_row)`` (``models.Term``), kept on it.
 
 A run samples its trials in one pass that stores a small integer per trial:
 the index of its cell ``(context, cause, a, b)``.  The counts are read from
@@ -46,7 +48,7 @@ from functools import cached_property
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import SamplerError
-from .models import Model, context_causes, validate_model
+from .models import Model, Term, _checked, validate_model
 from .scenario import Behavior, Context, Prob, Scenario, SealedDict
 
 _MASK64 = (1 << 64) - 1
@@ -218,8 +220,8 @@ class ExperimentRun:
         return self.empirical == other.empirical and self.records == other.records
 
 
-def _arm(model: Model, ctx: Context, cells: list[_Cell]) -> tuple[list[int], list]:
-    """Pre-pruned inverse-CDF tables for one context of one model.
+def _arm(ctx: Context, terms: Sequence[Term], cells: list[_Cell]) -> tuple[list[int], list]:
+    """Pre-pruned inverse-CDF tables for one context, from its checked terms.
 
     Returns the cause thresholds and, for the ``k``-th kept cause, a branch of
     Alice's outcome thresholds, the code of each of her outcomes' first cell,
@@ -227,22 +229,19 @@ def _arm(model: Model, ctx: Context, cells: list[_Cell]) -> tuple[list[int], lis
     kept outcomes are appended to ``cells`` Bob-fastest, so the code of a
     trial is its Alice base plus the position of Bob's outcome.
     """
-    causes, alice, bob = context_causes(model, ctx)
-    kept = [c for c in causes if c.weight != 0]
+    kept = [term for term in terms if term[1] != 0]
     branches = []
-    for cause in kept:
-        a_row = alice.outcome_probs(ctx.alice, cause.id)
-        b_row = bob.outcome_probs(ctx.bob, cause.id)
+    for cause_id, _, a_row, b_row in kept:
         b_kept = [b for b, p in enumerate(b_row, start=1) if p != 0]
         bases = []
         for a, p in enumerate(a_row, start=1):
             if p != 0:
                 bases.append(len(cells))
-                cells.extend([(ctx, cause.id, a, b) for b in b_kept])
+                cells.extend([(ctx, cause_id, a, b) for b in b_kept])
         branches.append(
             (_cuts([p for p in a_row if p != 0]), bases, _cuts([p for p in b_row if p != 0]))
         )
-    return _cuts([c.weight for c in kept]), branches
+    return _cuts([weight for _, weight, _, _ in kept]), branches
 
 
 def _cuts(weights: Iterable[Prob]) -> list[int]:
@@ -295,7 +294,7 @@ _DRAW_KEYS = tuple(_mix64(draw ^ _K2) for draw in range(4))
 
 
 def _sample(
-    model: Model,
+    terms: dict[Context, list[Term]],
     contexts: Sequence[Context],
     seed: int,
     indices: range,
@@ -313,7 +312,7 @@ def _sample(
     array type that holds every cell index.
     """
     cells: list[_Cell] = []
-    arms = [_arm(model, ctx, cells) for ctx in contexts]
+    arms = [_arm(ctx, terms[ctx], cells) for ctx in contexts]
     typecode = next(t for t in "BHIQ" if len(cells) <= 256 ** array(t).itemsize)
     codes = array(typecode)
     append = codes.append
@@ -365,13 +364,14 @@ def sample_trial(
     context; repeated calls return the identical record.
     """
     validate_model(model)
+    terms = _checked(model)._terms
     if context not in model.scenario.contexts():
         raise SamplerError(
             f"model has no context ({context.alice},{context.bob})",
             code="BAD_PLAN",
         )
     cells, (code,) = _sample(
-        model, [context], seed, range(trial_index, trial_index + 1), "fixed"
+        terms, [context], seed, range(trial_index, trial_index + 1), "fixed"
     )
     return TrialRecord(trial_index, *cells[code])
 
@@ -384,6 +384,7 @@ def run_experiment(model: Model, plan: ExperimentPlan) -> ExperimentRun:
     serial result.
     """
     validate_model(model)
+    terms = _checked(model)._terms
     scenario = model.scenario
     contexts = scenario.contexts()
     schedule = plan.schedule
@@ -397,7 +398,7 @@ def run_experiment(model: Model, plan: ExperimentPlan) -> ExperimentRun:
             )
         fixed = contexts.index(schedule.context)
     cells, codes = _sample(
-        model, contexts, plan.seed, range(plan.trials), schedule.kind, fixed
+        terms, contexts, plan.seed, range(plan.trials), schedule.kind, fixed
     )
     grids = {
         ctx: [

@@ -12,6 +12,7 @@ from bellbox import (
     BUILTIN_NAMES,
     BellboxError,
     Context,
+    ModelError,
     UnknownBuiltinError,
     builtin_document,
     exact_behavior,
@@ -333,6 +334,19 @@ class TestRoundTrip:
         text = serialize_document(doc)
         blocks = [line for line in text.splitlines() if line.startswith("context ")]
         assert blocks == ["context A B", "context A B'", "context A' B", "context A' B'"]
+
+    def test_contextual_document_with_a_missing_block_is_refused(self):
+        # The parser requires every block, so only a library-built document
+        # can lack one; serializing it is a model error, not a KeyError.
+        model = builtin_document("socks-off").contextual
+        blocks = {ctx: block for ctx, block in model.blocks.items() if ctx != Context(1, 1)}
+        doc = document.ModelDocument(
+            scenario=model.scenario, contextual=dataclasses.replace(model, blocks=blocks)
+        )
+        with pytest.raises(ModelError) as exc:
+            serialize_document(doc)
+        assert exc.value.code == "MODEL_INVALID"
+        assert "missing block for context (A',B')" in str(exc.value)
 
 
 class TestFuzzTotality:

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from bellbox import (
+    BUILTIN_NAMES,
     Cause,
     Context,
     ContextBlock,
@@ -24,18 +25,23 @@ from bellbox import (
     SamplerError,
     Scenario,
     Schedule,
+    builtin_document,
     deterministic_row,
     empirical_deviation,
     exact_behavior,
+    parse_document,
     run_experiment,
     sample_trial,
     socks_off,
     socks_on,
+    serialize_document,
     trial_lines,
     unit_draw,
     write_trials,
 )
+from bellbox import models, sampler
 from bellbox.sampler import _cuts, _threshold, keyed_word
+from _docgen import random_document
 from _tables import STANDARD_SCENARIO
 
 F = Fraction
@@ -499,3 +505,60 @@ class TestNonFiniteModels:
         with pytest.raises(ModelError) as exc:
             sample_trial(self._nan_socks_on(), Context(0, 0), 0, 1)
         assert exc.value.code == "MODEL_INVALID"
+
+
+@pytest.fixture(scope="module")
+def parsed_models():
+    """Every builtin model and 120 ``_docgen`` models, each parsed from its text."""
+    docs = [builtin_document(name) for name in BUILTIN_NAMES]
+    rand = random.Random(812)
+    found = []
+    while len(found) < 3 + 120:
+        doc = docs.pop(0) if docs else random_document(rand)
+        parsed = parse_document(serialize_document(doc)).document
+        if parsed.model() is not None:
+            found.append(parsed.model())
+    return found
+
+
+class TestSamplerReadsTheTerms:
+    """A parsed model samples from the terms the parser set; a replaced copy
+    from terms lowered on its first use.  Both give the same trials."""
+
+    def test_run_experiment_matches_a_fresh_lowering(self, parsed_models):
+        for model in parsed_models:
+            assert model._terms is not None
+            contexts = model.scenario.contexts()
+            schedules = (Schedule.fixed(contexts[-1]), Schedule.cycle(), Schedule.uniform())
+            for schedule in schedules:
+                plan = ExperimentPlan(17, 300, schedule)
+                fresh = replace(model)
+                assert fresh._terms is None
+                run, expected = run_experiment(model, plan), run_experiment(fresh, plan)
+                assert run.empirical == expected.empirical
+                assert run.records == expected.records
+
+    def test_sample_trial_matches_a_fresh_lowering(self, parsed_models):
+        for model in parsed_models:
+            for ctx in model.scenario.contexts():
+                for index in (0, 41, 2**63, 2**64 - 1):
+                    fresh = replace(model)
+                    assert sample_trial(model, ctx, index, 5) == sample_trial(fresh, ctx, index, 5)
+
+    def test_each_call_validates_once_and_builds_no_table(self, monkeypatch):
+        validated = []
+
+        def count(model):
+            validated.append(model)
+            return model
+
+        def refuse(model):
+            raise AssertionError("the sampler built an exact table")
+
+        monkeypatch.setattr(sampler, "validate_model", count)
+        monkeypatch.setattr(models, "exact_behavior", refuse)
+        model = socks_off()
+        plan = ExperimentPlan(3, 50, Schedule.cycle())
+        assert run_experiment(model, plan) == run_experiment(model, plan)
+        sample_trial(model, Context(1, 1), 9, 3)
+        assert validated == [model, model, model]

@@ -29,10 +29,10 @@ from .scenario import (
     Prob,
     Scenario,
     SealedDict,
-    _marginal_table,
+    _integer_behavior,
+    _marginal_rows,
     exact_sum,
     expectation,
-    marginals,
     printable,
     require_valid,
     validate_behavior,
@@ -85,31 +85,27 @@ def chsh_value(behavior: Behavior, arrangement: Arrangement) -> Prob:
     return exact_sum([sign * expectation(behavior, ctx) for sign, ctx in zip(arrangement, contexts)])
 
 
-def chsh_max(
-    behavior: Behavior, *, _correlators: Sequence[Prob] | None = None
-) -> tuple[Prob, Arrangement]:
+def chsh_max(behavior: Behavior) -> tuple[Prob, Arrangement]:
     """Maximum |CHSH| over the 8 arrangements, ties broken by sign-string order.
 
-    The four correlators are computed once (``classify`` passes its own).
-    Exact ones are compared as integer numerators over one denominator;
-    otherwise each arrangement is summed from ``Fraction(0)`` in context
-    order, as ``chsh_value`` does, so float results are the same bits.
+    An exact table's correlators are compared as integer numerators over its
+    view's denominator; otherwise each arrangement is summed from
+    ``Fraction(0)`` in context order, as ``chsh_value`` does, so float
+    results are the same bits.
     """
     _require_two_by_two(behavior.scenario)
-    if _correlators is None:
-        _correlators = [expectation(behavior, ctx) for ctx in behavior.scenario.contexts()]
-    exact = all(isinstance(e, (int, Fraction)) for e in _correlators)
-    if exact:
-        den = math.lcm(*[e.denominator for e in _correlators])
-        nums = [e.numerator * (den // e.denominator) for e in _correlators]
+    contexts, view = behavior.scenario.contexts(), behavior._int_view()
+    if view:
+        nums = [r[0][0] + r[1][1] - r[0][1] - r[1][0] for r in [view[1][ctx] for ctx in contexts]]
         values = [abs(sum([s * n for s, n in zip(arr, nums)])) for arr in _ARRANGEMENTS]
     else:
-        values = [abs(exact_sum([s * e for s, e in zip(arr, _correlators)])) for arr in _ARRANGEMENTS]
+        correlators = [expectation(behavior, ctx) for ctx in contexts]
+        values = [abs(exact_sum([s * e for s, e in zip(arr, correlators)])) for arr in _ARRANGEMENTS]
     best = 0
     for k, value in enumerate(values):
         if value > values[best]:
             best = k
-    value = Fraction(values[best], den) if exact else values[best]
+    value = Fraction(values[best], view[0]) if view else values[best]
     return value, _ARRANGEMENTS[best]
 
 
@@ -117,24 +113,26 @@ def nosignaling_residual(behavior: Behavior, *, _valid: bool = False) -> Prob:
     """Largest marginal shift any party can detect across co-party settings.
 
     Zero (exactly, for exact tables) iff the behavior satisfies the
-    no-signaling conditions.  ``classify`` passes ``_valid`` for a behavior
+    no-signaling conditions; an exact table's marginals are integers over
+    its view's denominator.  ``classify`` passes ``_valid`` for a behavior
     it has just validated.
     """
-    table = _marginal_table(behavior) if _valid else marginals(behavior)
-    scenario = behavior.scenario
-    residual: Prob = Fraction(0)
+    if not _valid:
+        require_valid(behavior)
+    scenario, view = behavior.scenario, behavior._int_view()
+    table = _marginal_rows(scenario, *((view[1], sum) if view else (behavior.table, exact_sum)))
+    residual: Prob = 0 if view else Fraction(0)
     for party, own_count, co_count in (
         ("alice", len(scenario.alice_settings), len(scenario.bob_settings)),
         ("bob", len(scenario.bob_settings), len(scenario.alice_settings)),
     ):
         for own in range(own_count):
-            rows = [table.row(party, own, co) for co in range(co_count)]
-            for outcome in range(len(rows[0])):
-                values = [row[outcome] for row in rows]
+            rows = [table[(party, own, co)] for co in range(co_count)]
+            for values in zip(*rows):
                 gap = max(values) - min(values)
                 if gap > residual:
                     residual = gap
-    return residual
+    return Fraction(residual, view[0]) if view else residual
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +158,12 @@ def enumerate_strategies(scenario: Scenario) -> tuple[DeterministicStrategy, ...
 
 def strategy_behavior(scenario: Scenario, strategy: DeterministicStrategy) -> Behavior:
     """Point table of one deterministic strategy (a single entry 1 per context)."""
-    table = {}
-    for ctx in scenario.contexts():
-        na = scenario.alice_outcomes[ctx.alice]
-        nb = scenario.bob_outcomes[ctx.bob]
-        table[ctx] = tuple(
-            tuple(
-                Fraction(1) if strategy.hits(ctx, a, b) else Fraction(0)
-                for b in range(1, nb + 1)
-            )
-            for a in range(1, na + 1)
-        )
-    return Behavior(scenario, table)
+    outcomes = scenario.alice_outcomes, scenario.bob_outcomes
+    return _integer_behavior(scenario, {
+        ctx: (1, [[int(strategy.hits(ctx, a, b)) for b in range(1, outcomes[1][ctx.bob] + 1)]
+                  for a in range(1, outcomes[0][ctx.alice] + 1)])
+        for ctx in scenario.contexts()
+    })
 
 
 @functools.lru_cache(maxsize=16)
@@ -218,7 +210,8 @@ class LocalDecomposition:
         """The mixture: each entry is the total weight of the strategies hitting it.
 
         Weights must be non-negative and sum to 1, as for ``mix``.  Every
-        entry is summed afresh, in strategy order, with ``exact_sum``.
+        entry is summed afresh, in strategy order: exact weights as integer
+        numerators over their common denominator, others with ``exact_sum``.
         """
         weights = [w for _, w in self.weights]
         if any(w < 0 for w in weights):
@@ -229,17 +222,22 @@ class LocalDecomposition:
                 f"weights sum to {printable(total)}, expected 1", code="BAD_WEIGHTS"
             )
         scenario = self.scenario
-        contexts = scenario.contexts()
+        den = isinstance(total, Fraction) and math.lcm(*[w.denominator for w in weights])
         hits: dict[Context, list[list[list[Prob]]]] = {
             ctx: [
                 [[] for _ in range(scenario.bob_outcomes[ctx.bob])]
                 for _ in range(scenario.alice_outcomes[ctx.alice])
             ]
-            for ctx in contexts
+            for ctx in scenario.contexts()
         }
         for strategy, weight in self.weights:
-            for ctx in contexts:
-                hits[ctx][strategy.alice[ctx.alice] - 1][strategy.bob[ctx.bob] - 1].append(weight)
+            if den:
+                weight = weight.numerator * (den // weight.denominator)
+            for ctx, grid in hits.items():
+                grid[strategy.alice[ctx.alice] - 1][strategy.bob[ctx.bob] - 1].append(weight)
+        if den:
+            parts = {ctx: (den, [[sum(c) for c in row] for row in grid]) for ctx, grid in hits.items()}
+            return _integer_behavior(scenario, parts)
         table = {ctx: tuple([tuple([exact_sum(c) for c in row]) for row in grid]) for ctx, grid in hits.items()}
         return Behavior(scenario, table)
 
@@ -286,16 +284,33 @@ class InfeasibilityCertificate:
         )
 
 
+def _integer_coefficients(coefficients: dict) -> tuple[int, dict] | None:
+    """``(den, {key: integer numerator over den})`` of exact coefficients, else ``None``."""
+    if not all([isinstance(c, (int, Fraction)) for c in coefficients.values()]):
+        return None
+    den = math.lcm(*[c.denominator for c in coefficients.values()])
+    return den, {key: c.numerator * (den // c.denominator) for key, c in coefficients.items()}
+
+
 def _functional_value(coefficients: dict, behavior: Behavior) -> Prob:
-    """Sum of coefficient times entry over the behavior's entries, in entry order."""
+    """Sum of coefficient times entry over the behavior's entries, in entry order;
+    on integers for exact coefficients and an exact table."""
+    view, lifted = behavior._int_view(), _integer_coefficients(coefficients)
+    if view and lifted:
+        (den, grids), (scale, numerators) = view, lifted
+        nums = [n for ctx in behavior.scenario.contexts() for row in grids[ctx] for n in row]
+        total = sum([numerators.get((ctx, a, b), 0) * n for (ctx, a, b, _), n in zip(behavior.entries(), nums)])
+        return Fraction(total, den * scale)
     entries = behavior.entries()
     return exact_sum([c * v for ctx, a, b, v in entries if (c := coefficients.get((ctx, a, b), 0)) != 0])
 
 
 def _strategy_bound(coefficients: dict, strategies: Sequence[DeterministicStrategy]) -> Fraction:
-    """The functional's maximum over the deterministic strategies."""
-    items = list(coefficients.items())
-    return max(exact_sum([c for (ctx, a, b), c in items if s.hits(ctx, a, b)]) for s in strategies)
+    """The functional's maximum over the deterministic strategies; on integers when exact."""
+    den, items = _integer_coefficients(coefficients) or (None, coefficients)
+    add = sum if den else exact_sum
+    best = max(add([c for (ctx, a, b), c in items.items() if s.hits(ctx, a, b)]) for s in strategies)
+    return Fraction(best, den) if den else best
 
 
 @dataclass(frozen=True)
@@ -314,37 +329,54 @@ class MembershipResult:
     snap_error: float
 
 
+def _snap(value: Prob) -> tuple[int, int]:
+    """``Fraction(value).limit_denominator(SNAP_DENOMINATOR)`` as ``(numerator, denominator)``:
+    the same continued-fraction walk, on the integers of ``value.as_integer_ratio()``."""
+    n0, d0 = value.as_integer_ratio()
+    if d0 <= SNAP_DENOMINATOR:
+        return n0, d0
+    p0, q0, p1, q1, n, d = 0, 1, 1, 0, n0, d0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > SNAP_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (SNAP_DENOMINATOR - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    # The nearer of the two bounds p1/q1 and p/q; a tie goes to p1/q1.
+    return (p1, q1) if abs(p1 * d0 - n0 * q1) * q <= abs(p * d0 - n0 * q) * q1 else (p, q)
+
+
 def _snap_behavior(behavior: Behavior) -> tuple[Behavior, float]:
     """Exact-rational stand-in for a floating behavior.
 
-    Entries are snapped to denominators <= SNAP_DENOMINATOR and each context
-    renormalized exactly; contexts further than SIGNALING_ATOL from
-    normalization are rejected.
+    Entries other than Fractions are snapped to denominators <=
+    SNAP_DENOMINATOR (``_snap``) and each context renormalized exactly: its
+    integer numerators over their total, which is the new table's view.
+    Contexts further than SIGNALING_ATOL from normalization are rejected.
     """
     scenario = behavior.scenario
-    table = {}
+    parts = {}
     snap_error = 0.0
     for ctx in scenario.contexts():
-        rows = [
-            [
-                v if isinstance(v, Fraction) else Fraction(v).limit_denominator(SNAP_DENOMINATOR)
-                for v in row
-            ]
-            for row in behavior.table[ctx]
-        ]
-        total = exact_sum([v for row in rows for v in row])
-        if abs(float(total) - 1.0) > SIGNALING_ATOL:
+        rows = behavior.table[ctx]
+        pairs = [[v.as_integer_ratio() if isinstance(v, Fraction) else _snap(v) for v in row] for row in rows]
+        den = math.lcm(*[q for row in pairs for _, q in row])
+        nums = [[p * (den // q) for p, q in row] for row in pairs]
+        total = sum([sum(row) for row in nums])
+        if abs(total / den - 1.0) > SIGNALING_ATOL:
             raise MembershipError(
-                f"context {ctx.label(scenario)} sums to {float(total)!r}; "
+                f"context {ctx.label(scenario)} sums to {total / den!r}; "
                 "normalize before membership testing",
                 code="NUMERIC_INPUT_UNNORMALIZED",
             )
-        normalized = [[v / total for v in row] for row in rows]
-        for row, orig_row in zip(normalized, behavior.table[ctx]):
-            for v, orig in zip(row, orig_row):
-                snap_error = max(snap_error, abs(float(v) - float(orig)))
-        table[ctx] = tuple(tuple(row) for row in normalized)
-    return Behavior(scenario, table), snap_error
+        for row, orig_row in zip(nums, rows):
+            for n, orig in zip(row, orig_row):
+                snap_error = max(snap_error, abs(n / total - float(orig)))
+        parts[ctx] = total, nums
+    return _integer_behavior(scenario, parts), snap_error
 
 
 def local_membership(behavior: Behavior, *, _valid: bool = False) -> MembershipResult:
@@ -354,7 +386,10 @@ def local_membership(behavior: Behavior, *, _valid: bool = False) -> MembershipR
     with the strategy indicators reproducing every table entry and the
     weights summing to 1.  Solved in exact rational arithmetic; floating
     input is snapped first (see ``MembershipResult.tested``).  ``classify``
-    passes ``_valid`` for a behavior it has just validated.
+    passes ``_valid`` for a behavior it has just validated.  Both proofs are
+    checked on integer views: the decomposition's ``to_behavior`` against
+    the tested table, and the certificate's value and bound (the latter
+    recomputed from ``DeterministicStrategy.hits``).
     """
     _require_two_by_two(behavior.scenario)
     if behavior.exact:
@@ -392,7 +427,8 @@ def local_membership(behavior: Behavior, *, _valid: bool = False) -> MembershipR
         )
         decomposition = LocalDecomposition(scenario, weights)
         try:
-            reproduced = decomposition.to_behavior() == tested
+            # Equal integer views (one lowest common denominator each) are equal tables.
+            reproduced = decomposition.to_behavior()._int_view() == tested._int_view()
         except MixtureError:
             reproduced = False
         if not reproduced:
@@ -407,13 +443,12 @@ def local_membership(behavior: Behavior, *, _valid: bool = False) -> MembershipR
     # Drop the weight-normalization row and rescale to an integer
     # functional; scaling by a positive constant preserves the separation.
     # Each c * lcm(denominators) / gcd(numerators) is an integer.
-    coeffs = list(outcome.certificate[: len(entry_keys)])
-    denominators = [c.denominator for c in coeffs if c != 0]
-    numerators = [c.numerator for c in coeffs if c != 0]
-    if numerators:
-        lcm, gcd = math.lcm(*denominators), math.gcd(*numerators)
-        coeffs = [Fraction(c.numerator * (lcm // c.denominator) // gcd) for c in coeffs]
-    coefficients = {key: coeff for key, coeff in zip(entry_keys, coeffs) if coeff != 0}
+    coeffs = outcome.certificate[: len(entry_keys)]
+    lcm = math.lcm(*[c.denominator for c in coeffs])
+    gcd = math.gcd(*[c.numerator for c in coeffs]) or 1
+    coefficients = {
+        key: Fraction(c.numerator * (lcm // c.denominator) // gcd) for key, c in zip(entry_keys, coeffs) if c
+    }
     value = _functional_value(coefficients, tested)
     bound = _strategy_bound(coefficients, strategies)
     if not value > bound:
@@ -465,7 +500,7 @@ def classify(behavior: Behavior) -> AnalysisReport:
     expectations = tuple(
         [expectation(behavior, ctx) for ctx in behavior.scenario.contexts()]
     )
-    best, best_arrangement = chsh_max(behavior, _correlators=expectations)
+    best, best_arrangement = chsh_max(behavior)
     residual = nosignaling_residual(behavior, _valid=True)
     signaling = residual > 0 if behavior.exact else residual > SIGNALING_ATOL
     if signaling:

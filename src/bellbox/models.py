@@ -38,6 +38,7 @@ from .scenario import (
     Prob,
     Scenario,
     SealedDict,
+    _integer_behavior,
     exact_sum,
     is_exact,
     printable,
@@ -318,34 +319,42 @@ def _model_terms(model: Model) -> dict[Context, list[Term]]:
 
 
 def _mixture_table(scenario: Scenario, by_context: dict[Context, Sequence[Term]]) -> Behavior:
-    """The joint table of per-context terms that are already known to be valid."""
-    table: dict[Context, tuple[tuple[Prob, ...], ...]] = {}
+    """The joint table of per-context terms that are already known to be valid;
+    an exact one keeps its integer grids as its view."""
+    exact, table = {}, {}
     for ctx in scenario.contexts():
         terms = by_context[ctx]
-        exact = all(isinstance(v, (int, Fraction)) for _, w, ra, rb in terms for v in (w, *ra, *rb))
-        grid = _exact_grid if exact else _float_grid
-        table[ctx] = grid(terms, scenario.alice_outcomes[ctx.alice], scenario.bob_outcomes[ctx.bob])
-    return Behavior(scenario, table)
+        na, nb = scenario.alice_outcomes[ctx.alice], scenario.bob_outcomes[ctx.bob]
+        if all([isinstance(v, (int, Fraction)) for _, w, ra, rb in terms for v in (w, *ra, *rb)]):
+            exact[ctx] = _exact_grid(terms, na, nb)
+        else:
+            table[ctx] = _float_grid(terms, na, nb)
+    if not table:
+        return _integer_behavior(scenario, exact)
+    table.update(_integer_behavior(scenario, exact).table)  # a float somewhere: no view
+    return Behavior(scenario, {ctx: table[ctx] for ctx in scenario.contexts()})
 
 
-def _exact_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[tuple[Fraction, ...], ...]:
+def _exact_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[int, list[list[int]]]:
+    """``(den, rows of integer numerators over den)`` of one exact context."""
     # Weights, Alice entries and Bob entries each over their own lcm, so
     # every product is an integer over the product of the three.
-    lw = math.lcm(*[w.denominator for _, w, _, _ in terms])
-    la = math.lcm(*[v.denominator for _, _, ra, _ in terms for v in ra])
-    lb = math.lcm(*[v.denominator for _, _, _, rb in terms for v in rb])
+    ratio = [(w.as_integer_ratio(), [v.as_integer_ratio() for v in ra], [v.as_integer_ratio() for v in rb])
+             for _, w, ra, rb in terms]
+    lw = math.lcm(*[q for (_, q), _, _ in ratio])
+    la = math.lcm(*[q for _, ra, _ in ratio for _, q in ra])
+    lb = math.lcm(*[q for _, _, rb in ratio for _, q in rb])
     cells = [[0] * nb for _ in range(na)]
-    for _, w, ra, rb in terms:
-        wn = w.numerator * (lw // w.denominator)
-        bn = [v.numerator * (lb // v.denominator) for v in rb]
-        for a, pa in enumerate(ra):
-            if pa:
-                wa = wn * pa.numerator * (la // pa.denominator)
+    for (wp, wq), ra, rb in ratio:
+        wn = wp * (lw // wq)
+        bn = [p * (lb // q) for p, q in rb]
+        for a, (p, q) in enumerate(ra):
+            if p:
+                wa = wn * p * (la // q)
                 row = cells[a]
                 for b, pb in enumerate(bn):
                     row[b] += wa * pb
-    den = lw * la * lb
-    return tuple([tuple([Fraction(n, den) for n in row]) for row in cells])
+    return lw * la * lb, cells
 
 
 def _float_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[tuple[Prob, ...], ...]:
@@ -362,6 +371,8 @@ def _float_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[tuple[Prob, ..
 
 def condition_on_cause(model: NonContextualModel, cause_id: str) -> Behavior:
     """Behavior with one cause held fixed: a product table in every context."""
+    if not isinstance(model, NonContextualModel):
+        raise ModelError("conditioning needs a noncontextual model", code="MODEL_INVALID")
     validate_model(model)
     model.cause(cause_id)
     scenario = model.scenario

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
 from .errors import InvalidBehaviorError, MixtureError, ScenarioShapeError
@@ -236,14 +237,21 @@ class Context:
 class Behavior:
     """Joint outcome probabilities ``table[ctx][a-1][b-1]`` for every context.
 
-    Instances are immutable; all operations return new objects.
+    Instances are immutable; all operations return new objects.  An exact
+    table (ints and Fractions only) is read once into one integer view
+    (``_int_view``), which validation, expectations, the no-signaling
+    residual and the membership proof checks read.
     """
 
     scenario: Scenario
     table: dict[Context, tuple[tuple[Prob, ...], ...]]
 
+    # The view (False if inexact), set once by ``_int_view`` or ``_integer_behavior``.  Not a
+    # field, so ``==``, repr and ``replace`` leave it out; the sealed table keeps it true.
+    _view = None
+
     def __post_init__(self) -> None:
-        frozen = {ctx: tuple(tuple(row) for row in rows) for ctx, rows in self.table.items()}
+        frozen = {ctx: tuple([tuple(row) for row in rows]) for ctx, rows in self.table.items()}
         object.__setattr__(self, "table", SealedDict(frozen))
 
     def prob(self, context: Context, a: int, b: int) -> Prob:
@@ -258,11 +266,36 @@ class Behavior:
                 for b, value in enumerate(row, start=1):
                     yield ctx, a, b, value
 
+    def _int_view(self) -> tuple[int, dict[Context, tuple[tuple[int, ...], ...]]] | None:
+        """``(den, {ctx: rows of integer numerators over den})``, den the least common
+        denominator of the entries, or ``None`` for an inexact table."""
+        if self._view is None:
+            values = [v for rows in self.table.values() for row in rows for v in row]
+            den = all([is_exact(v) for v in values]) and math.lcm(*[v.denominator for v in values])
+            object.__setattr__(self, "_view", den and (den, {
+                ctx: tuple([tuple([v.numerator * (den // v.denominator) for v in row]) for row in rows])
+                for ctx, rows in self.table.items()
+            }))
+        return self._view or None
+
     @property
     def exact(self) -> bool:
-        return all(
-            is_exact(v) for rows in self.table.values() for row in rows for v in row
-        )
+        return self._int_view() is not None
+
+
+def _integer_behavior(scenario: Scenario, parts: dict[Context, tuple[int, list]]) -> Behavior:
+    """The behavior with ``parts[ctx] = (den > 0, rows of integer numerators over den)``, keeping
+    its view: each context over its lowest denominator ``den // g``, then over the common one."""
+    cuts = [(ctx, den, math.gcd(den, *chain.from_iterable(rows)), rows) for ctx, (den, rows) in parts.items()]
+    common = math.lcm(*[den // g for _, den, g, _ in cuts])
+    table, view = {}, {}
+    for ctx, den, g, rows in cuts:
+        lift = common // (den // g)
+        table[ctx] = tuple([tuple([Fraction(n, den) for n in row]) for row in rows])
+        view[ctx] = tuple([tuple([n // g * lift for n in row]) for row in rows])
+    behavior = Behavior(scenario, table)
+    object.__setattr__(behavior, "_view", (common, view))
+    return behavior
 
 
 @dataclass(frozen=True)
@@ -284,6 +317,7 @@ def validate_behavior(behavior: Behavior, *, normalized: bool = True) -> Validat
     invariant is reported.
     """
     scenario = behavior.scenario
+    view = behavior._int_view()
     known = set(scenario.contexts())
     for ctx in behavior.table:
         if ctx not in known:
@@ -295,10 +329,9 @@ def validate_behavior(behavior: Behavior, *, normalized: bool = True) -> Validat
             )
     for ctx in scenario.contexts():
         rows = behavior.table.get(ctx)
-        label = ctx.label(scenario)
         if rows is None:
             return Validation(
-                False, "MISSING_CONTEXT", ctx, f"no table for context {label}"
+                False, "MISSING_CONTEXT", ctx, f"no table for context {ctx.label(scenario)}"
             )
         na = scenario.alice_outcomes[ctx.alice]
         nb = scenario.bob_outcomes[ctx.bob]
@@ -307,11 +340,12 @@ def validate_behavior(behavior: Behavior, *, normalized: bool = True) -> Validat
                 False,
                 "MISSING_CONTEXT",
                 ctx,
-                f"table for context {label} is not {na}x{nb}",
+                f"table for context {ctx.label(scenario)} is not {na}x{nb}",
             )
         values = [value for row in rows for value in row]
-        for k, value in enumerate(values):
-            if not is_exact(value) and not math.isfinite(value):
+        checked = [n for row in view[1][ctx] for n in row] if view else values  # over view[0] > 0
+        for k, value in enumerate(checked):
+            if not view and not is_exact(value) and not math.isfinite(value):
                 code, problem = "NON_FINITE_ENTRY", "non-finite"
             elif value < 0:
                 code, problem = "NEGATIVE_ENTRY", "negative"
@@ -324,16 +358,16 @@ def validate_behavior(behavior: Behavior, *, normalized: bool = True) -> Validat
                 False,
                 code,
                 ctx,
-                f"{problem} probability {printable(value)} in context {label}",
+                f"{problem} probability {printable(values[k])} in context {ctx.label(scenario)}",
             )
-        total = exact_sum(values)
+        total = Fraction(sum(checked), view[0]) if view else exact_sum(values)
         if normalized and not sums_to_one(total):
             within = "" if isinstance(total, Fraction) else f" within {FLOAT_ATOL}"
             return Validation(
                 False,
                 "UNNORMALIZED_CONTEXT",
                 ctx,
-                f"context {label} sums to {printable(total)}, expected 1{within}",
+                f"context {ctx.label(scenario)} sums to {printable(total)}, expected 1{within}",
             )
     return Validation(True)
 
@@ -369,27 +403,24 @@ class MarginalTable:
 def marginals(behavior: Behavior) -> MarginalTable:
     """Marginal distributions of a valid behavior; exact on exact input."""
     require_valid(behavior)
-    return _marginal_table(behavior)
+    return MarginalTable(behavior.scenario, _marginal_rows(behavior.scenario, behavior.table, exact_sum))
 
 
-def _marginal_table(behavior: Behavior) -> MarginalTable:
-    """``marginals`` of a behavior already known to be valid."""
-    scenario = behavior.scenario
-    rows: dict[tuple[Party, int, int], tuple[Prob, ...]] = {}
+def _marginal_rows(scenario: Scenario, grids: dict, add) -> dict[tuple[Party, int, int], tuple]:
+    """Each context's row sums (Alice) and column sums (Bob), each summed by ``add``."""
+    rows: dict[tuple[Party, int, int], tuple] = {}
     for ctx in scenario.contexts():
-        grid = behavior.table[ctx]
-        nb = scenario.bob_outcomes[ctx.bob]
-        rows[("alice", ctx.alice, ctx.bob)] = tuple([exact_sum(row) for row in grid])
-        rows[("bob", ctx.bob, ctx.alice)] = tuple(
-            [exact_sum([row[b] for row in grid]) for b in range(nb)]
-        )
-    return MarginalTable(scenario, rows)
+        grid = grids[ctx]
+        rows[("alice", ctx.alice, ctx.bob)] = tuple([add(row) for row in grid])
+        rows[("bob", ctx.bob, ctx.alice)] = tuple([add(column) for column in zip(*grid)])
+    return rows
 
 
 def expectation(behavior: Behavior, context: Context) -> Prob:
     """Signed correlation of one context: P(1,1)+P(2,2)-P(1,2)-P(2,1).
 
-    Defined only when both settings of the context are two-outcome.
+    Defined only when both settings of the context are two-outcome.  Exact
+    entries give an ``int`` when all four are ints, else a Fraction.
     """
     scenario = behavior.scenario
     if (
@@ -402,7 +433,12 @@ def expectation(behavior: Behavior, context: Context) -> Prob:
             code="NON_BINARY_SETTING",
         )
     grid = behavior.table[context]
-    return grid[0][0] + grid[1][1] - grid[0][1] - grid[1][0]
+    if (view := behavior._int_view()) is None:
+        return grid[0][0] + grid[1][1] - grid[0][1] - grid[1][0]
+    rows = view[1][context]
+    num = rows[0][0] + rows[1][1] - rows[0][1] - rows[1][0]
+    ints = all([isinstance(v, int) for v in (grid[0][0], grid[1][1], grid[0][1], grid[1][0])])
+    return num // view[0] if ints else Fraction(num, view[0])
 
 
 def mix(components: Sequence[tuple[Prob, Behavior]]) -> Behavior:

@@ -125,6 +125,15 @@ class TestConditioning:
             condition_on_cause(socks_on(), "lambda9")
         assert exc.value.code == "UNKNOWN_CAUSE"
 
+    def test_contextual_model_is_refused(self):
+        # Refused before validation: a contextual model with no blocks at all
+        # gets the same error, not the validator's missing-block one.
+        for model in (socks_off(), socks_color(), replace(socks_off(), blocks={})):
+            with pytest.raises(ModelError) as exc:
+                condition_on_cause(model, "mu1")
+            assert exc.value.code == "MODEL_INVALID"
+            assert str(exc.value) == "conditioning needs a noncontextual model"
+
     def test_mixture_identity(self):
         model = socks_on()
         mixed = mix(

@@ -88,10 +88,9 @@ def chsh_value(behavior: Behavior, arrangement: Arrangement) -> Prob:
 def chsh_max(behavior: Behavior) -> tuple[Prob, Arrangement]:
     """Maximum |CHSH| over the 8 arrangements, ties broken by sign-string order.
 
-    An exact table's correlators are compared as integer numerators over its
-    view's denominator; otherwise each arrangement is summed from
-    ``Fraction(0)`` in context order, as ``chsh_value`` does, so float
-    results are the same bits.
+    Exact correlators are integer numerators over the view's denominator;
+    otherwise each arrangement is summed from ``Fraction(0)`` in context
+    order, as ``chsh_value`` does, so float results are the same bits.
     """
     _require_two_by_two(behavior.scenario)
     contexts, view = behavior.scenario.contexts(), behavior._int_view()
@@ -112,10 +111,9 @@ def chsh_max(behavior: Behavior) -> tuple[Prob, Arrangement]:
 def nosignaling_residual(behavior: Behavior, *, _valid: bool = False) -> Prob:
     """Largest marginal shift any party can detect across co-party settings.
 
-    Zero (exactly, for exact tables) iff the behavior satisfies the
-    no-signaling conditions; an exact table's marginals are integers over
-    its view's denominator.  ``classify`` passes ``_valid`` for a behavior
-    it has just validated.
+    Zero (exactly, for exact tables, whose marginals are summed in the
+    view) iff the behavior satisfies the no-signaling conditions.
+    ``classify`` passes ``_valid`` for a behavior it has just validated.
     """
     if not _valid:
         require_valid(behavior)
@@ -210,8 +208,8 @@ class LocalDecomposition:
         """The mixture: each entry is the total weight of the strategies hitting it.
 
         Weights must be non-negative and sum to 1, as for ``mix``.  Every
-        entry is summed afresh, in strategy order: exact weights as integer
-        numerators over their common denominator, others with ``exact_sum``.
+        entry is summed afresh, in strategy order, with ``exact_sum`` or, for
+        exact weights, as integers over their common denominator.
         """
         weights = [w for _, w in self.weights]
         if any(w < 0 for w in weights):
@@ -422,7 +420,7 @@ def local_membership(behavior: Behavior, *, _valid: bool = False) -> MembershipR
             [
                 (strategy, weight)
                 for strategy, weight in zip(strategies, outcome.solution)
-                if weight != 0
+                if weight
             ]
         )
         decomposition = LocalDecomposition(scenario, weights)

@@ -319,8 +319,7 @@ def _model_terms(model: Model) -> dict[Context, list[Term]]:
 
 
 def _mixture_table(scenario: Scenario, by_context: dict[Context, Sequence[Term]]) -> Behavior:
-    """The joint table of per-context terms that are already known to be valid;
-    an exact one keeps its integer grids as its view."""
+    """The joint table of per-context terms known to be valid; an exact one keeps its view."""
     exact, table = {}, {}
     for ctx in scenario.contexts():
         terms = by_context[ctx]
@@ -336,9 +335,8 @@ def _mixture_table(scenario: Scenario, by_context: dict[Context, Sequence[Term]]
 
 
 def _exact_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[int, list[list[int]]]:
-    """``(den, rows of integer numerators over den)`` of one exact context."""
-    # Weights, Alice entries and Bob entries each over their own lcm, so
-    # every product is an integer over the product of the three.
+    # ``(den, rows of integer numerators over den)``: weights, Alice entries and Bob
+    # entries each over their own lcm, so every product is an integer over den, their product.
     ratio = [(w.as_integer_ratio(), [v.as_integer_ratio() for v in ra], [v.as_integer_ratio() for v in rb])
              for _, w, ra, rb in terms]
     lw = math.lcm(*[q for (_, q), _, _ in ratio])

@@ -156,10 +156,10 @@ def enumerate_strategies(scenario: Scenario) -> tuple[DeterministicStrategy, ...
 
 def strategy_behavior(scenario: Scenario, strategy: DeterministicStrategy) -> Behavior:
     """Point table of one deterministic strategy (a single entry 1 per context)."""
-    outcomes = scenario.alice_outcomes, scenario.bob_outcomes
+    na, nb = scenario.alice_outcomes, scenario.bob_outcomes
     return _integer_behavior(scenario, {
-        ctx: (1, [[int(strategy.hits(ctx, a, b)) for b in range(1, outcomes[1][ctx.bob] + 1)]
-                  for a in range(1, outcomes[0][ctx.alice] + 1)])
+        ctx: (1, [[int(strategy.hits(ctx, a, b)) for b in range(1, nb[ctx.bob] + 1)]
+                  for a in range(1, na[ctx.alice] + 1)])
         for ctx in scenario.contexts()
     })
 

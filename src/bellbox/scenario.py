@@ -246,8 +246,9 @@ class Behavior:
     scenario: Scenario
     table: dict[Context, tuple[tuple[Prob, ...], ...]]
 
-    # The view (False if inexact), set once by ``_int_view`` or ``_integer_behavior``.  Not a
-    # field, so ``==``, repr and ``replace`` leave it out; the sealed table keeps it true.
+    # The view (False if inexact), set by ``_int_view`` (two threads may both set equal views) or
+    # ``_integer_behavior``.  Not a field, so ``==``, repr and ``replace`` leave it out; the
+    # table is sealed, so the view stays true.
     _view = None
 
     def __post_init__(self) -> None:
@@ -343,7 +344,7 @@ def validate_behavior(behavior: Behavior, *, normalized: bool = True) -> Validat
                 f"table for context {ctx.label(scenario)} is not {na}x{nb}",
             )
         values = [value for row in rows for value in row]
-        checked = [n for row in view[1][ctx] for n in row] if view else values  # over view[0] > 0
+        checked = [n for row in view[1][ctx] for n in row] if view else values  # signs kept: den > 0
         for k, value in enumerate(checked):
             if not view and not is_exact(value) and not math.isfinite(value):
                 code, problem = "NON_FINITE_ENTRY", "non-finite"

@@ -208,8 +208,7 @@ class LocalDecomposition:
         """The mixture: each entry is the total weight of the strategies hitting it.
 
         Weights must be non-negative and sum to 1, as for ``mix``.  Every
-        entry is summed afresh, in strategy order, with ``exact_sum`` or, for
-        exact weights, as integers over their common denominator.
+        entry is summed afresh, in strategy order, with ``exact_sum``.
         """
         weights = [w for _, w in self.weights]
         if any(w < 0 for w in weights):
@@ -220,7 +219,6 @@ class LocalDecomposition:
                 f"weights sum to {printable(total)}, expected 1", code="BAD_WEIGHTS"
             )
         scenario = self.scenario
-        den = isinstance(total, Fraction) and math.lcm(*[w.denominator for w in weights])
         hits: dict[Context, list[list[list[Prob]]]] = {
             ctx: [
                 [[] for _ in range(scenario.bob_outcomes[ctx.bob])]
@@ -229,13 +227,8 @@ class LocalDecomposition:
             for ctx in scenario.contexts()
         }
         for strategy, weight in self.weights:
-            if den:
-                weight = weight.numerator * (den // weight.denominator)
             for ctx, grid in hits.items():
                 grid[strategy.alice[ctx.alice] - 1][strategy.bob[ctx.bob] - 1].append(weight)
-        if den:
-            parts = {ctx: (den, [[sum(c) for c in row] for row in grid]) for ctx, grid in hits.items()}
-            return _integer_behavior(scenario, parts)
         table = {ctx: tuple([tuple([exact_sum(c) for c in row]) for row in grid]) for ctx, grid in hits.items()}
         return Behavior(scenario, table)
 
@@ -291,8 +284,7 @@ def _integer_coefficients(coefficients: dict) -> tuple[int, dict] | None:
 
 
 def _functional_value(coefficients: dict, behavior: Behavior) -> Prob:
-    """Sum of coefficient times entry over the behavior's entries, in entry order;
-    on integers for exact coefficients and an exact table."""
+    """Sum of coefficient times entry over the entries, in entry order; on integers if exact."""
     view, lifted = behavior._int_view(), _integer_coefficients(coefficients)
     if view and lifted:
         (den, grids), (scale, numerators) = view, lifted
@@ -384,10 +376,9 @@ def local_membership(behavior: Behavior, *, _valid: bool = False) -> MembershipR
     with the strategy indicators reproducing every table entry and the
     weights summing to 1.  Solved in exact rational arithmetic; floating
     input is snapped first (see ``MembershipResult.tested``).  ``classify``
-    passes ``_valid`` for a behavior it has just validated.  Both proofs are
-    checked on integer views: the decomposition's ``to_behavior`` against
-    the tested table, and the certificate's value and bound (the latter
-    recomputed from ``DeterministicStrategy.hits``).
+    passes ``_valid`` for a behavior it has just validated.  The certificate's value is read
+    from the tested table's integer view and its bound recomputed from
+    ``DeterministicStrategy.hits``; ``LocalDecomposition.to_behavior`` checks a decomposition.
     """
     _require_two_by_two(behavior.scenario)
     if behavior.exact:
@@ -425,8 +416,7 @@ def local_membership(behavior: Behavior, *, _valid: bool = False) -> MembershipR
         )
         decomposition = LocalDecomposition(scenario, weights)
         try:
-            # Equal integer views (one lowest common denominator each) are equal tables.
-            reproduced = decomposition.to_behavior()._int_view() == tested._int_view()
+            reproduced = decomposition.to_behavior() == tested
         except MixtureError:
             reproduced = False
         if not reproduced:

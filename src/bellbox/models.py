@@ -322,12 +322,11 @@ def _mixture_table(scenario: Scenario, by_context: dict[Context, Sequence[Term]]
     """The joint table of per-context terms known to be valid; an exact one keeps its view."""
     exact, table = {}, {}
     for ctx in scenario.contexts():
-        terms = by_context[ctx]
-        na, nb = scenario.alice_outcomes[ctx.alice], scenario.bob_outcomes[ctx.bob]
+        terms, shape = by_context[ctx], (scenario.alice_outcomes[ctx.alice], scenario.bob_outcomes[ctx.bob])
         if all([isinstance(v, (int, Fraction)) for _, w, ra, rb in terms for v in (w, *ra, *rb)]):
-            exact[ctx] = _exact_grid(terms, na, nb)
+            exact[ctx] = _exact_grid(terms, *shape)
         else:
-            table[ctx] = _float_grid(terms, na, nb)
+            table[ctx] = _float_grid(terms, *shape)
     if not table:
         return _integer_behavior(scenario, exact)
     table.update(_integer_behavior(scenario, exact).table)  # a float somewhere: no view

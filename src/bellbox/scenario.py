@@ -25,6 +25,10 @@ PARTIES: tuple[Party, Party] = ("alice", "bob")
 #: Normalization slack accepted for floating-point tables.
 FLOAT_ATOL = 1e-12
 
+#: Largest integer view of a table, in entries times denominator bits.  A table past it (many
+#: contexts with unrelated denominators) keeps the per-context Fraction paths and their cost.
+_VIEW_BITS = 1 << 22
+
 
 def is_exact(value: Prob) -> bool:
     """True when ``value`` participates in exact-rational arithmetic."""
@@ -237,18 +241,16 @@ class Context:
 class Behavior:
     """Joint outcome probabilities ``table[ctx][a-1][b-1]`` for every context.
 
-    Instances are immutable; all operations return new objects.  An exact
-    table (ints and Fractions only) is read once into one integer view
-    (``_int_view``), which validation, expectations, the no-signaling
-    residual and the membership proof checks read.
+    Instances are immutable; all operations return new objects.  An exact table is read once
+    into one integer view (``_int_view``) for validation, expectations, CHSH, the residual
+    and the membership proof checks.
     """
 
     scenario: Scenario
     table: dict[Context, tuple[tuple[Prob, ...], ...]]
 
-    # The view (False if inexact), set by ``_int_view`` (two threads may both set equal views) or
-    # ``_integer_behavior``.  Not a field, so ``==``, repr and ``replace`` leave it out; the
-    # table is sealed, so the view stays true.
+    # The view, False (inexact) or True (exact, no view); set once (two threads may set equal
+    # ones).  Not a field, so ``==``, repr and ``replace`` skip it; the sealed table keeps it true.
     _view = None
 
     def __post_init__(self) -> None:
@@ -269,33 +271,44 @@ class Behavior:
 
     def _int_view(self) -> tuple[int, dict[Context, tuple[tuple[int, ...], ...]]] | None:
         """``(den, {ctx: rows of integer numerators over den})``, den the least common
-        denominator of the entries, or ``None`` for an inexact table."""
+        denominator of the entries; ``None`` if inexact or past ``_VIEW_BITS``."""
         if self._view is None:
             values = [v for rows in self.table.values() for row in rows for v in row]
-            den = all([is_exact(v) for v in values]) and math.lcm(*[v.denominator for v in values])
+            den = all([is_exact(v) for v in values]) and _common_denominator(
+                {v.denominator for v in values}, len(values))
             object.__setattr__(self, "_view", den and (den, {
                 ctx: tuple([tuple([v.numerator * (den // v.denominator) for v in row]) for row in rows])
                 for ctx, rows in self.table.items()
-            }))
-        return self._view or None
+            }) or den is None)
+        return None if isinstance(self._view, bool) else self._view
 
     @property
     def exact(self) -> bool:
-        return self._int_view() is not None
+        return self._int_view() is not None or self._view
+
+
+def _common_denominator(dens: Iterable[int], entries: int) -> int | None:
+    """The lcm of ``dens``; ``None`` once ``entries`` numerators over it pass ``_VIEW_BITS``."""
+    common = 1
+    for den in dens:
+        common = math.lcm(common, den)
+        if common.bit_length() * entries > _VIEW_BITS:
+            return None
+    return common
 
 
 def _integer_behavior(scenario: Scenario, parts: dict[Context, tuple[int, list]]) -> Behavior:
-    """The behavior with ``parts[ctx] = (den > 0, rows of integer numerators over den)``, keeping
-    its view: each context over its lowest denominator ``den // g``, then over the common one."""
+    """The behavior with ``parts[ctx] = (den > 0, rows of integer numerators over den)``, given
+    its view: each context over its lowest denominator ``den // g``, then the common one."""
     cuts = [(ctx, den, math.gcd(den, *chain.from_iterable(rows)), rows) for ctx, (den, rows) in parts.items()]
-    common = math.lcm(*[den // g for _, den, g, _ in cuts])
-    table, view = {}, {}
-    for ctx, den, g, rows in cuts:
-        lift = common // (den // g)
-        table[ctx] = tuple([tuple([Fraction(n, den) for n in row]) for row in rows])
-        view[ctx] = tuple([tuple([n // g * lift for n in row]) for row in rows])
+    entries = sum([len(row) for *_, rows in cuts for row in rows])
+    common = _common_denominator([den // g for _, den, g, _ in cuts], entries)
+    table = {ctx: [[Fraction(n, den) for n in row] for row in rows] for ctx, (den, rows) in parts.items()}
     behavior = Behavior(scenario, table)
-    object.__setattr__(behavior, "_view", (common, view))
+    object.__setattr__(behavior, "_view", common and (common, {
+        ctx: tuple([tuple([n // g * (common // (den // g)) for n in row]) for row in rows])
+        for ctx, den, g, rows in cuts
+    }) or True)
     return behavior
 
 
@@ -420,8 +433,7 @@ def _marginal_rows(scenario: Scenario, grids: dict, add) -> dict[tuple[Party, in
 def expectation(behavior: Behavior, context: Context) -> Prob:
     """Signed correlation of one context: P(1,1)+P(2,2)-P(1,2)-P(2,1).
 
-    Defined only when both settings of the context are two-outcome.  Exact
-    entries give an ``int`` when all four are ints, else a Fraction.
+    Defined only when both settings of the context are two-outcome.
     """
     scenario = behavior.scenario
     if (

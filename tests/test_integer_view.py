@@ -9,8 +9,10 @@ exact midpoints ``(p + 0.5)/q`` below are the nearest cases.)
 ``_snap_behavior`` must agree with the ``Fraction``
 code it replaced (``_fraction_exact``), errors included.  A view set by the
 producer of a table (``models._mixture_table``, ``_snap_behavior``,
-``LocalDecomposition.to_behavior``) must equal the one built from the table
-on first read, and copies, equality, ``repr`` and value types must not see it.
+``strategy_behavior``) must equal the one built from the table on first
+read, and copies, equality, ``repr`` and value types must not see it.  A
+table whose view would pass ``_VIEW_BITS`` has none and keeps the Fraction
+paths, so many contexts with unrelated denominators cost what they did.
 """
 
 import copy
@@ -23,9 +25,16 @@ from fractions import Fraction
 import _fraction_exact as oracle
 from _docgen import random_document
 from bellbox import BUILTIN_NAMES, analysis, builtin_document, models
-from bellbox.analysis import SNAP_DENOMINATOR, _snap, _snap_behavior, local_membership
-from bellbox.models import QuantumDirections, singlet_behavior
-from bellbox.scenario import Behavior, Context, Scenario, expectation
+from bellbox.analysis import SNAP_DENOMINATOR, _snap, _snap_behavior, nosignaling_residual
+from bellbox.models import (
+    Cause,
+    ContextBlock,
+    ContextualModel,
+    QuantumDirections,
+    ResponseFunction,
+    singlet_behavior,
+)
+from bellbox.scenario import Behavior, Context, Scenario, expectation, validate_behavior
 from test_exact_oracle import STANDARD, _behavior, _key, _row
 
 F = Fraction
@@ -137,10 +146,6 @@ def _produced_tables():
         if model is not None:
             count += 1
             yield models.exact_behavior(model)
-    for name in ("socks-on", "socks-off"):
-        result = local_membership(builtin_document(name).to_behavior())
-        if result.decomposition is not None:
-            yield result.decomposition.to_behavior()
     for strategy in analysis.enumerate_strategies(STANDARD):
         yield analysis.strategy_behavior(STANDARD, strategy)
 
@@ -238,3 +243,39 @@ def test_exact_flag_follows_the_entry_types():
         assert behavior.exact is exact
         assert (behavior._int_view() is not None) is exact
     assert Behavior(shape, {}).exact
+
+
+def _primes(count: int) -> list[int]:
+    primes, candidate = [], 1000
+    while len(primes) < count:
+        candidate += 1
+        if all(candidate % p for p in range(2, math.isqrt(candidate) + 1)):
+            primes.append(candidate)
+    return primes
+
+
+def test_a_table_past_the_view_budget_has_no_view():
+    # 3,600 contexts, each over its own prime: one common denominator would
+    # take ≈50,000 bits for each of the 14,400 entries.
+    shape = Scenario.binary([f"A{i}" for i in range(60)], [f"B{i}" for i in range(60)])
+    primes = _primes(len(shape.contexts()))
+    table = {ctx: ((F(1, p), F(1, p)), (F(1, p), F(p - 3, p))) for ctx, p in zip(shape.contexts(), primes)}
+    behavior = Behavior(shape, table)
+    assert behavior._int_view() is None and behavior.exact
+    assert behavior._view is True
+    assert validate_behavior(behavior) == oracle.validate_behavior(behavior)
+    assert _key(nosignaling_residual(behavior)) == _key(oracle.nosignaling_residual(behavior))
+    # The exact table of a contextual model of the same kind has none either.
+    shape = Scenario.binary([f"A{i}" for i in range(40)], [f"B{i}" for i in range(40)])
+    blocks = {}
+    for ctx, p in zip(shape.contexts(), primes):
+        rows = {"x": (F(1), F(0)), "y": (F(0), F(1))}
+        blocks[ctx] = ContextBlock(
+            (Cause("x", F(1, p)), Cause("y", F(p - 1, p))),
+            ResponseFunction("alice", {(ctx.alice, c): r for c, r in rows.items()}),
+            ResponseFunction("bob", {(ctx.bob, c): r for c, r in rows.items()}),
+        )
+    model = ContextualModel(shape, blocks)
+    produced = models.exact_behavior(model)
+    assert produced._view is True and produced._int_view() is None and produced.exact
+    assert _key(produced) == _key(oracle.exact_behavior(model))

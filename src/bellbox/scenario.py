@@ -243,7 +243,7 @@ class Behavior:
 
     Instances are immutable; all operations return new objects.  An exact table is read once
     into one integer view (``_int_view``) for validation, expectations, CHSH, the residual
-    and the membership proof checks.
+    and the membership certificate.
     """
 
     scenario: Scenario

@@ -156,10 +156,10 @@ def enumerate_strategies(scenario: Scenario) -> tuple[DeterministicStrategy, ...
 
 def strategy_behavior(scenario: Scenario, strategy: DeterministicStrategy) -> Behavior:
     """Point table of one deterministic strategy (a single entry 1 per context)."""
-    na, nb = scenario.alice_outcomes, scenario.bob_outcomes
+    alice_outcomes, bob_outcomes = scenario.alice_outcomes, scenario.bob_outcomes
     return _integer_behavior(scenario, {
-        ctx: (1, [[int(strategy.hits(ctx, a, b)) for b in range(1, nb[ctx.bob] + 1)]
-                  for a in range(1, na[ctx.alice] + 1)])
+        ctx: (1, [[int(strategy.hits(ctx, a, b)) for b in range(1, bob_outcomes[ctx.bob] + 1)]
+                  for a in range(1, alice_outcomes[ctx.alice] + 1)])
         for ctx in scenario.contexts()
     })
 
@@ -344,7 +344,7 @@ def _snap_behavior(behavior: Behavior) -> tuple[Behavior, float]:
 
     Entries other than Fractions are snapped to denominators <=
     SNAP_DENOMINATOR (``_snap``) and each context renormalized exactly: its
-    integer numerators over their total, which is the new table's view.
+    integer numerators over their total, which also give the table its view.
     Contexts further than SIGNALING_ATOL from normalization are rejected.
     """
     scenario = behavior.scenario

@@ -9,7 +9,7 @@ field, the decomposition and the certificate); a behavior that ``classify``
 refuses enters as its error type, message and code.  The generators are
 shared with that module, so a change to them changes the digest too.  The
 pinned value was captured before the exact layer read tables through one
-integer view.
+integer view; the same digest must come out when no table keeps a view.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ import math
 import random
 from fractions import Fraction
 
-from bellbox import models
+from bellbox import models, scenario
 from bellbox.analysis import classify
 from bellbox.document import BUILTIN_NAMES, builtin_document
 from bellbox.models import QuantumDirections, random_noncontextual_model, singlet_behavior
@@ -58,7 +58,7 @@ def _fingerprint(behavior: Behavior) -> str:
     return repr(_report_key(report))
 
 
-def test_classify_digest_is_pinned():
+def _digest() -> str:
     digest = hashlib.sha256()
     count = 0
     for behavior in _behaviors():
@@ -66,4 +66,16 @@ def test_classify_digest_is_pinned():
         digest.update(b"\0")
         count += 1
     assert count == len(BUILTIN_NAMES) + 170 * 6
-    assert digest.hexdigest() == DIGEST
+    return digest.hexdigest()
+
+
+def test_classify_digest_is_pinned():
+    assert _digest() == DIGEST
+
+
+def test_tables_without_an_integer_view_give_the_same_reports(monkeypatch):
+    # With no room for a view, every exact table takes the Fraction paths
+    # that tables past the view's size bound take.
+    monkeypatch.setattr(scenario, "_VIEW_BITS", 0)
+    assert not models.exact_behavior(models.socks_on())._int_view()
+    assert _digest() == DIGEST

@@ -29,7 +29,6 @@ from .scenario import (
     Prob,
     Scenario,
     SealedDict,
-    _integer_behavior,
     _marginal_rows,
     exact_sum,
     expectation,
@@ -108,15 +107,13 @@ def chsh_max(behavior: Behavior) -> tuple[Prob, Arrangement]:
     return value, _ARRANGEMENTS[best]
 
 
-def nosignaling_residual(behavior: Behavior, *, _valid: bool = False) -> Prob:
+def nosignaling_residual(behavior: Behavior) -> Prob:
     """Largest marginal shift any party can detect across co-party settings.
 
     Zero (exactly, for exact tables, whose marginals are summed in the
     view) iff the behavior satisfies the no-signaling conditions.
-    ``classify`` passes ``_valid`` for a behavior it has just validated.
     """
-    if not _valid:
-        require_valid(behavior)
+    require_valid(behavior)
     scenario, view = behavior.scenario, behavior._int_view()
     table = _marginal_rows(scenario, *((view[1], sum) if view else (behavior.table, exact_sum)))
     residual: Prob = 0 if view else Fraction(0)
@@ -157,9 +154,9 @@ def enumerate_strategies(scenario: Scenario) -> tuple[DeterministicStrategy, ...
 def strategy_behavior(scenario: Scenario, strategy: DeterministicStrategy) -> Behavior:
     """Point table of one deterministic strategy (a single entry 1 per context)."""
     alice_outcomes, bob_outcomes = scenario.alice_outcomes, scenario.bob_outcomes
-    return _integer_behavior(scenario, {
-        ctx: (1, [[int(strategy.hits(ctx, a, b)) for b in range(1, bob_outcomes[ctx.bob] + 1)]
-                  for a in range(1, alice_outcomes[ctx.alice] + 1)])
+    return Behavior(scenario, {
+        ctx: [[Fraction(int(strategy.hits(ctx, a, b))) for b in range(1, bob_outcomes[ctx.bob] + 1)]
+              for a in range(1, alice_outcomes[ctx.alice] + 1)]
         for ctx in scenario.contexts()
     })
 
@@ -344,11 +341,11 @@ def _snap_behavior(behavior: Behavior) -> tuple[Behavior, float]:
 
     Entries other than Fractions are snapped to denominators <=
     SNAP_DENOMINATOR (``_snap``) and each context renormalized exactly: its
-    integer numerators over their total, which also give the table its view.
-    Contexts further than SIGNALING_ATOL from normalization are rejected.
+    integer numerators over their total.  Contexts further than
+    SIGNALING_ATOL from normalization are rejected.
     """
     scenario = behavior.scenario
-    parts = {}
+    table = {}
     snap_error = 0.0
     for ctx in scenario.contexts():
         rows = behavior.table[ctx]
@@ -365,34 +362,31 @@ def _snap_behavior(behavior: Behavior) -> tuple[Behavior, float]:
         for row, orig_row in zip(nums, rows):
             for n, orig in zip(row, orig_row):
                 snap_error = max(snap_error, abs(n / total - float(orig)))
-        parts[ctx] = total, nums
-    return _integer_behavior(scenario, parts), snap_error
+        table[ctx] = [[Fraction(n, total) for n in row] for row in nums]
+    return Behavior(scenario, table), snap_error
 
 
-def local_membership(behavior: Behavior, *, _valid: bool = False) -> MembershipResult:
+def local_membership(behavior: Behavior) -> MembershipResult:
     """Decide whether the behavior mixes from deterministic strategies.
 
     The feasibility system asks for weights w >= 0 over the 16 strategies
     with the strategy indicators reproducing every table entry and the
     weights summing to 1.  Solved in exact rational arithmetic; floating
-    input is snapped first (see ``MembershipResult.tested``).  ``classify``
-    passes ``_valid`` for a behavior it has just validated.  The certificate's value is read
+    input is snapped first (see ``MembershipResult.tested``).  The certificate's value is read
     from the tested table's integer view and its bound recomputed from
     ``DeterministicStrategy.hits``; ``LocalDecomposition.to_behavior`` checks a decomposition.
     """
     _require_two_by_two(behavior.scenario)
     if behavior.exact:
-        if not _valid:
-            require_valid(behavior)
+        require_valid(behavior)
         tested, snap_error = behavior, 0.0
     else:
         # Floating input gets the membership tolerance, not the stricter
         # behavior invariant: every other check still runs on every context,
         # but normalization is enforced by the snap step below.
-        if not _valid:
-            result = validate_behavior(behavior, normalized=False)
-            if not result.ok:
-                raise InvalidBehaviorError(result.message, code=result.code or "INTERNAL")
+        result = validate_behavior(behavior, normalized=False)
+        if not result.ok:
+            raise InvalidBehaviorError(result.message, code=result.code or "INTERNAL")
         tested, snap_error = _snap_behavior(behavior)
     scenario = tested.scenario
     shape = (scenario.alice_outcomes, scenario.bob_outcomes)
@@ -480,8 +474,8 @@ def classify(behavior: Behavior) -> AnalysisReport:
     A behavior is SIGNALING when its marginal residual is nonzero (above
     ``SIGNALING_ATOL`` for floating tables); otherwise LOCAL exactly when the
     membership test finds a decomposition, else NONLOCAL_NOSIGNALING.  The
-    behavior is validated once, here; the CHSH maximum reuses the
-    expectations.
+    behavior is validated here, once: the residual and the membership test
+    find it remembered as valid.
     """
     require_valid(behavior)
     _require_two_by_two(behavior.scenario)
@@ -489,7 +483,7 @@ def classify(behavior: Behavior) -> AnalysisReport:
         [expectation(behavior, ctx) for ctx in behavior.scenario.contexts()]
     )
     best, best_arrangement = chsh_max(behavior)
-    residual = nosignaling_residual(behavior, _valid=True)
+    residual = nosignaling_residual(behavior)
     signaling = residual > 0 if behavior.exact else residual > SIGNALING_ATOL
     if signaling:
         return AnalysisReport(
@@ -503,7 +497,7 @@ def classify(behavior: Behavior) -> AnalysisReport:
             None,
             0.0,
         )
-    membership = local_membership(behavior, _valid=True)
+    membership = local_membership(behavior)
     classification = (
         Classification.LOCAL if membership.feasible else Classification.NONLOCAL_NOSIGNALING
     )

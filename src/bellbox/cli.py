@@ -260,7 +260,7 @@ def _cmd_exact(args: argparse.Namespace, doc: document.ModelDocument) -> str:
     scenario = behavior.scenario
     lines = [f"behavior of {doc.name or args.input} ({doc.kind})"]
     lines.extend(_behavior_table(behavior, args.decimal))
-    if set(scenario.alice_outcomes) == {2} and set(scenario.bob_outcomes) == {2}:
+    if scenario.is_binary():
         lines.append("expectations:")
         for ctx in scenario.contexts():
             lines.append(

@@ -786,7 +786,7 @@ def _build_contextual(
 def _build_singlet(
     p: _DocParser, scenario: Scenario, lines: list[_Line]
 ) -> SingletSpec | None:
-    if set(scenario.alice_outcomes) != {2} or set(scenario.bob_outcomes) != {2}:
+    if not scenario.is_binary():
         p.error(
             lines[0][0] if lines else 1,
             1,

@@ -38,7 +38,6 @@ from .scenario import (
     Prob,
     Scenario,
     SealedDict,
-    _integer_behavior,
     exact_sum,
     is_exact,
     printable,
@@ -319,23 +318,18 @@ def _model_terms(model: Model) -> dict[Context, list[Term]]:
 
 
 def _mixture_table(scenario: Scenario, by_context: dict[Context, Sequence[Term]]) -> Behavior:
-    """The joint table of per-context terms known to be valid; an exact one keeps its view."""
-    exact, table = {}, {}
+    """The joint table of per-context terms known to be valid."""
+    table = {}
     for ctx in scenario.contexts():
         terms, shape = by_context[ctx], (scenario.alice_outcomes[ctx.alice], scenario.bob_outcomes[ctx.bob])
-        if all([isinstance(v, (int, Fraction)) for _, w, ra, rb in terms for v in (w, *ra, *rb)]):
-            exact[ctx] = _exact_grid(terms, *shape)
-        else:
-            table[ctx] = _float_grid(terms, *shape)
-    if not table:
-        return _integer_behavior(scenario, exact)
-    table.update(_integer_behavior(scenario, exact).table)  # a float somewhere: no view
-    return Behavior(scenario, {ctx: table[ctx] for ctx in scenario.contexts()})
+        exact = all([isinstance(v, (int, Fraction)) for _, w, ra, rb in terms for v in (w, *ra, *rb)])
+        table[ctx] = (_exact_grid if exact else _float_grid)(terms, *shape)
+    return Behavior(scenario, table)
 
 
-def _exact_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[int, list[list[int]]]:
-    # ``(den, rows of integer numerators over den)``: weights, Alice entries and Bob
-    # entries each over their own lcm, so every product is an integer over den, their product.
+def _exact_grid(terms: Sequence[Term], na: int, nb: int) -> list[list[Fraction]]:
+    # Integer numerators over one den: weights, Alice entries and Bob entries each over
+    # their own lcm, so every product is an integer over den, their product.
     ratio = [(w.as_integer_ratio(), [v.as_integer_ratio() for v in ra], [v.as_integer_ratio() for v in rb])
              for _, w, ra, rb in terms]
     lw = math.lcm(*[q for (_, q), _, _ in ratio])
@@ -351,7 +345,8 @@ def _exact_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[int, list[list
                 row = cells[a]
                 for b, pb in enumerate(bn):
                     row[b] += wa * pb
-    return lw * la * lb, cells
+    den = lw * la * lb
+    return [[Fraction(n, den) for n in row] for row in cells]
 
 
 def _float_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[tuple[Prob, ...], ...]:
@@ -605,7 +600,7 @@ def singlet_behavior(
             "for bob",
             code="ANGLES_MISSING",
         )
-    if set(scenario.alice_outcomes) != {2} or set(scenario.bob_outcomes) != {2}:
+    if not scenario.is_binary():
         raise ModelError(
             "spin measurements are two-outcome; scenario has other counts",
             code="ANGLES_MISSING",

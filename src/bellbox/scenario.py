@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
 from .errors import InvalidBehaviorError, MixtureError, ScenarioShapeError
@@ -213,14 +212,13 @@ class Scenario:
         """All joint-setting pairs, ordered lexicographically by index."""
         return self._contexts
 
+    def is_binary(self) -> bool:
+        """Every setting of both parties has exactly two outcomes."""
+        return set(self.alice_outcomes) == {2} and set(self.bob_outcomes) == {2}
+
     def is_two_by_two(self) -> bool:
         """Two settings per party, two outcomes everywhere."""
-        return (
-            len(self.alice_settings) == 2
-            and len(self.bob_settings) == 2
-            and set(self.alice_outcomes) == {2}
-            and set(self.bob_outcomes) == {2}
-        )
+        return len(self.alice_settings) == 2 and len(self.bob_settings) == 2 and self.is_binary()
 
 
 @dataclass(frozen=True, order=True)
@@ -241,17 +239,20 @@ class Context:
 class Behavior:
     """Joint outcome probabilities ``table[ctx][a-1][b-1]`` for every context.
 
-    Instances are immutable; all operations return new objects.  An exact table is read once
-    into one integer view (``_int_view``) for validation, expectations, CHSH, the residual
-    and the membership certificate.
+    Instances are immutable; all operations return new objects.  A table fills two caches
+    itself, once, on first need: an exact one is read into one integer view (``_int_view``)
+    for validation, expectations, CHSH, the residual and the membership certificate, and a
+    table that ``validate_behavior`` passes with normalization is not checked again.
     """
 
     scenario: Scenario
     table: dict[Context, tuple[tuple[Prob, ...], ...]]
 
-    # The view, False (inexact) or True (exact, no view); set once (two threads may set equal
-    # ones).  Not a field, so ``==``, repr and ``replace`` skip it; the sealed table keeps it true.
+    # The view or False (none), and True once the table passed ``validate_behavior``.  Not
+    # fields, so ``==``, repr and ``replace`` skip them; two threads may set equal values, and
+    # the sealed table keeps both true.
     _view = None
+    _validated = False
 
     def __post_init__(self) -> None:
         frozen = {ctx: tuple([tuple(row) for row in rows]) for ctx, rows in self.table.items()}
@@ -259,6 +260,8 @@ class Behavior:
 
     def prob(self, context: Context, a: int, b: int) -> Prob:
         """Entry for 1-based outcome indices ``a`` (Alice) and ``b`` (Bob)."""
+        if a < 1 or b < 1:
+            raise IndexError(f"outcome indices start at 1, got ({a}, {b})")
         return self.table[context][a - 1][b - 1]
 
     def entries(self) -> Iterator[tuple[Context, int, int, Prob]]:
@@ -271,45 +274,25 @@ class Behavior:
 
     def _int_view(self) -> tuple[int, dict[Context, tuple[tuple[int, ...], ...]]] | None:
         """``(den, {ctx: rows of integer numerators over den})``, den the least common
-        denominator of the entries; ``None`` if inexact or past ``_VIEW_BITS``."""
+        denominator of the entries; ``None`` if inexact or once ``den`` takes more than
+        ``_VIEW_BITS`` bits over all the entries."""
         if self._view is None:
             values = [v for rows in self.table.values() for row in rows for v in row]
-            den = all([is_exact(v) for v in values]) and _common_denominator(
-                {v.denominator for v in values}, len(values))
-            object.__setattr__(self, "_view", den and (den, {
+            view, den = self.exact, 1
+            for q in {v.denominator for v in values} if view else ():
+                den = math.lcm(den, q)
+                if den.bit_length() * len(values) > _VIEW_BITS:
+                    view = False
+                    break
+            object.__setattr__(self, "_view", view and (den, {
                 ctx: tuple([tuple([v.numerator * (den // v.denominator) for v in row]) for row in rows])
                 for ctx, rows in self.table.items()
-            }) or den is None)
-        return None if isinstance(self._view, bool) else self._view
+            }))
+        return self._view or None
 
     @property
     def exact(self) -> bool:
-        return self._int_view() is not None or self._view
-
-
-def _common_denominator(dens: Iterable[int], entries: int) -> int | None:
-    """The lcm of ``dens``; ``None`` once ``entries`` numerators over it pass ``_VIEW_BITS``."""
-    common = 1
-    for den in dens:
-        common = math.lcm(common, den)
-        if common.bit_length() * entries > _VIEW_BITS:
-            return None
-    return common
-
-
-def _integer_behavior(scenario: Scenario, parts: dict[Context, tuple[int, list]]) -> Behavior:
-    """The behavior with ``parts[ctx] = (den > 0, rows of integer numerators over den)``, given
-    its view: each context over its lowest denominator ``den // g``, then the common one."""
-    cuts = [(ctx, den, math.gcd(den, *chain.from_iterable(rows)), rows) for ctx, (den, rows) in parts.items()]
-    entries = sum([len(row) for *_, rows in cuts for row in rows])
-    common = _common_denominator([den // g for _, den, g, _ in cuts], entries)
-    table = {ctx: [[Fraction(n, den) for n in row] for row in rows] for ctx, (den, rows) in parts.items()}
-    behavior = Behavior(scenario, table)
-    object.__setattr__(behavior, "_view", common and (common, {
-        ctx: tuple([tuple([n // g * (common // (den // g)) for n in row]) for row in rows])
-        for ctx, den, g, rows in cuts
-    }) or True)
-    return behavior
+        return all([is_exact(v) for rows in self.table.values() for row in rows for v in row])
 
 
 @dataclass(frozen=True)
@@ -328,8 +311,20 @@ def validate_behavior(behavior: Behavior, *, normalized: bool = True) -> Validat
     Exact tables must sum to 1 exactly; tables containing floats may deviate
     by at most ``FLOAT_ATOL``.  ``normalized=False`` skips the sum check
     (every other check still runs on every context).  The first violated
-    invariant is reported.
+    invariant is reported.  A table that passes with ``normalized`` on is
+    remembered as valid and returns at once from then on; a failing one is
+    checked again on every call.
     """
+    if behavior._validated:
+        return Validation(True)
+    result = _check_entries(behavior, normalized)
+    if result.ok and normalized:
+        object.__setattr__(behavior, "_validated", True)
+    return result
+
+
+def _check_entries(behavior: Behavior, normalized: bool) -> Validation:
+    """``validate_behavior``'s checks, run in full."""
     scenario = behavior.scenario
     view = behavior._int_view()
     known = set(scenario.contexts())

@@ -7,12 +7,14 @@ whose denominators add up to more than SNAP_DENOMINATOR, so a float, whose
 denominator is a power of two, is never exactly halfway between them; the
 exact midpoints ``(p + 0.5)/q`` below are the nearest cases.)
 ``_snap_behavior`` must agree with the ``Fraction``
-code it replaced (``_fraction_exact``), errors included.  A view set by the
-producer of a table (``models._mixture_table``, ``_snap_behavior``,
-``strategy_behavior``) must equal the one built from the table on first
-read, and copies, equality, ``repr`` and value types must not see it.  A
-table whose view would pass ``_VIEW_BITS`` has none and keeps the Fraction
-paths, so many contexts with unrelated denominators cost what they did.
+code it replaced (``_fraction_exact``), errors included.  A table builds its
+view itself on first read: the tables of ``models._mixture_table``,
+``_snap_behavior`` and ``strategy_behavior`` come without one and give the
+lowest view, and copies, equality, ``repr`` and value types must not see it.
+A table whose view would pass ``_VIEW_BITS`` has none and keeps the Fraction
+paths, so many contexts with unrelated denominators cost what they did.  A
+table that passes ``validate_behavior`` is checked once; a failing one every
+time.
 """
 
 import copy
@@ -22,10 +24,14 @@ import pickle
 import random
 from fractions import Fraction
 
+import pytest
+
 import _fraction_exact as oracle
 from _docgen import random_document
-from bellbox import BUILTIN_NAMES, analysis, builtin_document, models
+from bellbox import BUILTIN_NAMES, analysis, builtin_document, models, scenario
 from bellbox.analysis import SNAP_DENOMINATOR, _snap, _snap_behavior, nosignaling_residual
+from bellbox.cli import run_cli
+from bellbox.errors import InvalidBehaviorError
 from bellbox.models import (
     Cause,
     ContextBlock,
@@ -34,7 +40,16 @@ from bellbox.models import (
     ResponseFunction,
     singlet_behavior,
 )
-from bellbox.scenario import Behavior, Context, Scenario, expectation, validate_behavior
+from bellbox.scenario import (
+    Behavior,
+    Context,
+    Scenario,
+    Validation,
+    expectation,
+    marginals,
+    require_valid,
+    validate_behavior,
+)
 from test_exact_oracle import STANDARD, _behavior, _key, _row
 
 F = Fraction
@@ -150,11 +165,11 @@ def _produced_tables():
         yield analysis.strategy_behavior(STANDARD, strategy)
 
 
-def test_producers_set_the_view_that_the_table_gives():
+def test_produced_tables_build_the_view_that_the_table_gives():
     produced = list(_produced_tables())
     assert len(produced) >= 300
     for behavior in produced:
-        assert "_view" in vars(behavior)  # set by the producer, not read yet
+        assert "_view" not in vars(behavior)  # built on first read, not by the producer
         view = behavior._int_view()
         assert view == _fresh(behavior)._int_view() == _lowest_view(behavior)
         assert view[0] > 0
@@ -194,6 +209,7 @@ def test_copies_carry_a_correct_view():
 def test_equality_and_repr_ignore_the_view():
     produced = models.exact_behavior(models.socks_off())
     fresh = _fresh(produced)
+    produced._int_view()
     assert "_view" in vars(produced) and "_view" not in vars(fresh)
     assert produced == fresh and repr(produced) == repr(fresh)
     assert "_view" not in repr(produced)
@@ -262,7 +278,7 @@ def test_a_table_past_the_view_budget_has_no_view():
     table = {ctx: ((F(1, p), F(1, p)), (F(1, p), F(p - 3, p))) for ctx, p in zip(shape.contexts(), primes)}
     behavior = Behavior(shape, table)
     assert behavior._int_view() is None and behavior.exact
-    assert behavior._view is True
+    assert behavior._view is False
     assert validate_behavior(behavior) == oracle.validate_behavior(behavior)
     assert _key(nosignaling_residual(behavior)) == _key(oracle.nosignaling_residual(behavior))
     # The exact table of a contextual model of the same kind has none either.
@@ -277,5 +293,93 @@ def test_a_table_past_the_view_budget_has_no_view():
         )
     model = ContextualModel(shape, blocks)
     produced = models.exact_behavior(model)
-    assert produced._view is True and produced._int_view() is None and produced.exact
+    assert produced._int_view() is None and produced._view is False and produced.exact
     assert _key(produced) == _key(oracle.exact_behavior(model))
+
+
+# ---------------------------------------------------------------------------
+# Checked once
+# ---------------------------------------------------------------------------
+
+
+def _spy_checks(monkeypatch) -> list[bool]:
+    """The ``normalized`` flag of every full check of a table, in call order."""
+    calls = []
+    check = scenario._check_entries
+
+    def spy(behavior: Behavior, normalized: bool):
+        calls.append(normalized)
+        return check(behavior, normalized)
+
+    monkeypatch.setattr(scenario, "_check_entries", spy)
+    return calls
+
+
+def test_a_valid_table_is_checked_once(monkeypatch):
+    calls = _spy_checks(monkeypatch)
+    tables = [
+        models.exact_behavior(models.socks_off()),
+        models.exact_behavior(models.socks_on()),
+        singlet_behavior(models.singlet_optimal_directions()),
+    ]
+    for behavior in tables:
+        calls.clear()
+        analysis.classify(behavior)
+        nosignaling_residual(behavior)
+        analysis.local_membership(behavior)
+        marginals(behavior)
+        assert require_valid(behavior) is behavior
+        assert validate_behavior(behavior) == validate_behavior(behavior, normalized=False) == Validation(True)
+        assert calls == [True]
+
+
+def test_the_cli_checks_its_table_once(monkeypatch, capsys):
+    calls = _spy_checks(monkeypatch)
+    for command in ("nosig", "membership", "classify"):
+        calls.clear()
+        assert run_cli([command, "socks-off"]) == 0
+        assert calls == [True], command
+    capsys.readouterr()
+
+
+def test_a_failing_table_is_checked_on_every_call(monkeypatch):
+    calls = _spy_checks(monkeypatch)
+    table = {ctx: ((F(1, 2), F(1, 4)), (F(0), F(1, 3))) for ctx in STANDARD.contexts()}
+    behavior = Behavior(STANDARD, table)
+    errors = []
+    for check in (analysis.classify, nosignaling_residual, analysis.local_membership, marginals, require_valid):
+        for _ in range(2):
+            with pytest.raises(InvalidBehaviorError) as info:
+                check(behavior)
+            errors.append((str(info.value), info.value.code))
+    assert set(errors) == {("context (A,B) sums to 13/12, expected 1", "UNNORMALIZED_CONTEXT")}
+    assert calls == [True] * 10 and not behavior._validated
+
+
+def test_a_check_without_normalization_is_not_remembered(monkeypatch):
+    calls = _spy_checks(monkeypatch)
+    # Off by 1e-10: past FLOAT_ATOL, within the membership snap's tolerance.
+    table = {ctx: ((0.5, 0.25), (0.125, 0.125 + 1e-10)) for ctx in STANDARD.contexts()}
+    behavior = Behavior(STANDARD, table)
+    assert validate_behavior(behavior, normalized=False).ok
+    assert not behavior._validated
+    assert analysis.local_membership(behavior).feasible
+    assert validate_behavior(behavior).code == "UNNORMALIZED_CONTEXT"
+    with pytest.raises(InvalidBehaviorError):
+        analysis.classify(behavior)
+    assert calls == [False, False, True, True] and not behavior._validated
+
+
+def test_copies_keep_both_caches_and_replace_starts_without_them():
+    behavior = models.exact_behavior(models.socks_off())
+    require_valid(behavior)
+    view = behavior._int_view()
+    assert view == _fresh(behavior)._int_view() and behavior._validated
+    for clone in (pickle.loads(pickle.dumps(behavior)), copy.copy(behavior), copy.deepcopy(behavior)):
+        assert clone == behavior and clone._validated
+        assert clone._int_view() == view
+    replaced = dataclasses.replace(behavior)
+    assert replaced == behavior
+    assert "_view" not in vars(replaced) and "_validated" not in vars(replaced)
+    unnormalized = dataclasses.replace(behavior, table={ctx: ((F(1), F(1)), (F(0), F(0))) for ctx in STANDARD.contexts()})
+    assert validate_behavior(unnormalized).code == "UNNORMALIZED_CONTEXT"

@@ -20,6 +20,7 @@ from bellbox import (
     require_valid,
     validate_behavior,
 )
+from bellbox.models import exact_behavior, socks_off
 from _tables import (
     H,
     Q,
@@ -74,6 +75,25 @@ class TestScenario:
         assert STANDARD_SCENARIO.setting_index("alice", "A'") == 1
         with pytest.raises(ScenarioShapeError):
             STANDARD_SCENARIO.setting_index("bob", "nope")
+
+    def test_is_binary(self):
+        assert STANDARD_SCENARIO.is_binary() and STANDARD_SCENARIO.is_two_by_two()
+        wide = Scenario.binary(("A",), ("B", "B'", "B''"))
+        assert wide.is_binary() and not wide.is_two_by_two()
+        for shape in (Scenario(("A", "A'"), ("B", "B'"), (2, 3), (2, 2)), Scenario(("A",), ("B",), (2,), (3,))):
+            assert not shape.is_binary() and not shape.is_two_by_two()
+
+
+class TestProb:
+    def test_indices_are_one_based(self):
+        # Index 0 once read the last row or column: P(2,1 | A',B') for (0, 1).
+        behavior = exact_behavior(socks_off())
+        ctx = Context(1, 1)
+        grid = [[behavior.prob(ctx, a, b) for b in (1, 2)] for a in (1, 2)]
+        assert grid == [list(row) for row in behavior.table[ctx]]
+        for a, b in ((0, 1), (1, 0), (0, 0), (-1, 2), (2, -1), (3, 1), (1, 3)):
+            with pytest.raises(IndexError):
+                behavior.prob(ctx, a, b)
 
 
 class TestOutcomeSign:

@@ -111,7 +111,8 @@ def nosignaling_residual(behavior: Behavior) -> Prob:
     """Largest marginal shift any party can detect across co-party settings.
 
     Zero (exactly, for exact tables, whose marginals are summed in the
-    view) iff the behavior satisfies the no-signaling conditions.
+    view) iff the behavior satisfies the no-signaling conditions.  The
+    behavior is validated first, which a valid table remembers.
     """
     require_valid(behavior)
     scenario, view = behavior.scenario, behavior._int_view()
@@ -372,8 +373,10 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     The feasibility system asks for weights w >= 0 over the 16 strategies
     with the strategy indicators reproducing every table entry and the
     weights summing to 1.  Solved in exact rational arithmetic; floating
-    input is snapped first (see ``MembershipResult.tested``).  The certificate's value is read
-    from the tested table's integer view and its bound recomputed from
+    input is snapped first (see ``MembershipResult.tested``) and needs to be
+    normalized only within the snap's tolerance.  A table validated before is
+    not checked again.  The certificate's value is read from the tested
+    table's integer view and its bound recomputed from
     ``DeterministicStrategy.hits``; ``LocalDecomposition.to_behavior`` checks a decomposition.
     """
     _require_two_by_two(behavior.scenario)

@@ -292,7 +292,9 @@ class Behavior:
 
     @property
     def exact(self) -> bool:
-        return all([is_exact(v) for rows in self.table.values() for row in rows for v in row])
+        """No entry is inexact: true once there is a view, else found by a scan that stops at
+        the first float."""
+        return bool(self._view) or all(is_exact(v) for rows in self.table.values() for row in rows for v in row)
 
 
 @dataclass(frozen=True)

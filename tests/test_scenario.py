@@ -86,7 +86,7 @@ class TestScenario:
 
 class TestProb:
     def test_indices_are_one_based(self):
-        # Index 0 once read the last row or column: P(2,1 | A',B') for (0, 1).
+        # Index 0 must not wrap round to the last row or column: (0, 1) is not P(2,1 | A',B').
         behavior = exact_behavior(socks_off())
         ctx = Context(1, 1)
         grid = [[behavior.prob(ctx, a, b) for b in (1, 2)] for a in (1, 2)]

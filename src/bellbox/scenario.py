@@ -248,9 +248,9 @@ class Behavior:
     scenario: Scenario
     table: dict[Context, tuple[tuple[Prob, ...], ...]]
 
-    # The view or False (none), and True once the table passed ``validate_behavior``.  Not
-    # fields, so ``==``, repr and ``replace`` skip them; two threads may set equal values, and
-    # the sealed table keeps both true.
+    # ``_view`` is the view or False (none); ``_validated`` is True once ``validate_behavior``
+    # passed the table.  Not fields, so ``==``, repr and ``replace`` skip them; two threads may
+    # set equal values, and the sealed table keeps both true.
     _view = None
     _validated = False
 
@@ -292,8 +292,8 @@ class Behavior:
 
     @property
     def exact(self) -> bool:
-        """No entry is inexact: true once there is a view, else found by a scan that stops at
-        the first float."""
+        """Every entry is an int or a Fraction: true once there is a view, else found by a scan
+        that stops at the first other entry."""
         return bool(self._view) or all(is_exact(v) for rows in self.table.values() for row in rows for v in row)
 
 

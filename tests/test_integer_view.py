@@ -333,13 +333,12 @@ def test_a_valid_table_is_checked_once(monkeypatch):
         assert calls == [True]
 
 
-def test_the_cli_checks_its_table_once(monkeypatch, capsys):
+def test_the_cli_checks_its_table_once(monkeypatch):
     calls = _spy_checks(monkeypatch)
     for command in ("nosig", "membership", "classify"):
         calls.clear()
         assert run_cli([command, "socks-off"]) == 0
         assert calls == [True], command
-    capsys.readouterr()
 
 
 def test_a_failing_table_is_checked_on_every_call(monkeypatch):

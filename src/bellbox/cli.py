@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 input or parse error (diagnostics on stderr),
 2 internal invariant violation.
 
 Each handler imports the analysis or sampler layer itself, so a subcommand
-loads only the modules it runs.
+loads only the modules it runs; the document parser loads only for a file.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The ``.bellbox`` declarative text format: parser, serializer, builtins.
+"""The ``.bellbox`` declarative text format: types, serializer, builtins.
 
 A document is line-oriented 8-bit clean text.  It opens with the version
 header ``bellbox-format 1``, contains a ``[scenario]`` section, exactly one
@@ -7,19 +7,13 @@ payload section (``[behavior]``, ``[noncontextual]``, ``[contextual]`` or
 it begins the line or follows whitespace.  The full grammar lives in
 ``docs/format.md``.
 
-Parsing is total: malformed input produces :class:`ParseDiagnostic` entries
-with line and column positions, never an exception.  Each cause weight and
-response row is checked once, as it is read, and a parsed model keeps the
-terms so checked.  Serialization is canonical (fixed section order, sorted
-keys, reduced rationals, contexts in lexicographic order) and idempotent,
-and ``parse(serialize(d))`` returns a structurally equal document; a value
-the text cannot carry raises instead.
-
-Probability literals are rationals ``p/q`` or decimals.  In the default
-exact mode a decimal is converted to a rational with denominator at most
-10**6 and a NOTE diagnostic records the conversion; a behavior section may
-instead declare ``numbers = float``, in which case its literals are floats
-and round-trip exactly through ``repr``.
+This module holds the parsed types, the serializer and the builtin
+documents.  The parser lives in ``_parser.py``, which :func:`parse_document`
+loads on first call, so a program that never parses a text (the CLI on a
+builtin, say) never loads it.  Serialization is canonical (fixed section
+order, sorted keys, reduced rationals, contexts in lexicographic order) and
+idempotent, and ``parse(serialize(d))`` returns a structurally equal
+document; a value the text cannot carry raises instead.
 """
 
 from __future__ import annotations
@@ -28,26 +22,21 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .errors import BellboxError, UnknownBuiltinError
 from .models import (
-    Cause,
     ContextBlock,
     ContextualModel,
     NonContextualModel,
     QuantumDirections,
-    ResponseFunction,
-    _answered_settings,
     _cause_sets,
-    _checked,
     exact_behavior,
     singlet_behavior,
     socks_color,
     socks_off,
     socks_on,
 )
-from .scenario import Behavior, Context, Prob, Scenario, exact_sum, printable, sums_to_one
+from .scenario import PARTIES, Behavior, Prob, Scenario, printable
 
 FORMAT_VERSION = 1
 
@@ -67,19 +56,10 @@ _LITERAL_LIMIT = 10**MAX_LITERAL_DIGITS
 #: is built.
 MAX_TABLE_CELLS = 100_000
 
-_SECTION_NAMES = ("metadata", "scenario", "behavior", "noncontextual", "contextual", "singlet")
 _PAYLOAD_NAMES = ("behavior", "noncontextual", "contextual", "singlet")
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_'\"\.\+\-]+")
 _KEYVALUE_RE = re.compile(r"^\s*([A-Za-z][A-Za-z0-9_]*)\s*=\s*(.*?)\s*$")
-_SECTION_RE = re.compile(r"^\s*\[([A-Za-z]+)\]\s*$")
-_PROW_RE = re.compile(
-    r"^\s*P\(\s*(\d+)\s*,\s*(\d+)\s*\|\s*([^\s,()|=#]+)\s*,\s*([^\s,()|=#]+)\s*\)"
-    r"\s*=\s*(\S+)\s*$"
-)
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
 # ``\S`` is the complement of ``str.isspace()``: a test pins that.  So a
 # ``_TOKEN_RE`` match is a ``str.split()`` token.
 _COMMENT_RE = re.compile(r"(?<!\S)#")
@@ -164,665 +144,15 @@ class ParseResult:
         return [d for d in self.diagnostics if d.severity == "error"]
 
 
-# ---------------------------------------------------------------------------
-# Parsing
-# ---------------------------------------------------------------------------
-
-
-class _DocParser:
-    def __init__(self, text: str) -> None:
-        self.diags: list[ParseDiagnostic] = []
-        self.lines = text.splitlines()
-        self.exact_literals: dict[str, Fraction] = {}  # token -> value, this parse only
-        self.token_starts: dict[str, list[int]] = {}  # text -> its tokens' starts, this parse only
-
-    def column(self, text: str, k: int, offset: int = 0) -> int:
-        """1-based column of the ``k``-th ``str.split()`` token of ``text``, ``offset`` columns in.
-
-        Readers pass a column as an int or as these arguments, so that it is
-        computed only when a diagnostic needs it; each text is scanned once,
-        however many of its tokens are reported.
-        """
-        starts = self.token_starts.get(text)
-        if starts is None:
-            starts = self.token_starts[text] = [m.start() for m in _TOKEN_RE.finditer(text)]
-        return offset + starts[k] + 1
-
-    def error(self, line: int, column: int | tuple, message: str, token: str = "") -> None:
-        column = column if isinstance(column, int) else self.column(*column)
-        self.diags.append(ParseDiagnostic("error", line, column, message, token))
-
-    def note(self, line: int, column: int | tuple, message: str, token: str = "") -> None:
-        column = column if isinstance(column, int) else self.column(*column)
-        self.diags.append(ParseDiagnostic("note", line, column, message, token))
-
-    def error_at_head(self, line: int, text: str, message: str) -> None:
-        """An error at the first token of a line, naming it."""
-        self.error(line, (text, 0), message, text.split()[0])
-
-    def has_errors(self) -> bool:
-        return any(d.severity == "error" for d in self.diags)
-
-    # -- numeric literals ---------------------------------------------------
-
-    def parse_int(self, token: str, line: int, column: int | tuple) -> int | None:
-        """Digits with an optional sign; None (with a diagnostic) when too long."""
-        if len(token.lstrip("+-")) > MAX_LITERAL_DIGITS:
-            self.error(
-                line,
-                column,
-                f"SYNTAX: integer literal longer than {MAX_LITERAL_DIGITS} digits",
-                token[:40] + "...",
-            )
-            return None
-        return int(token)
-
-    def parse_probability(
-        self,
-        token: str,
-        line: int,
-        column: int | tuple,
-        *,
-        as_float: bool,
-        noun: str = "a probability literal",
-    ) -> Prob | None:
-        """Rational/decimal literal; None (with a diagnostic naming ``noun``) when malformed."""
-        if not as_float and token in self.exact_literals:
-            return self.exact_literals[token]
-        m = _RATIONAL_RE.match(token)
-        # In float mode a plain integer is read by float() below, as a decimal.
-        if m or (not as_float and _INT_RE.match(token)):
-            numerator = self.parse_int(m.group(1) if m else token, line, column)
-            denominator = self.parse_int(m.group(2), line, column) if m else 1
-            if numerator is None or denominator is None:
-                return None
-            if denominator == 0:
-                self.error(line, column, "SYNTAX: zero denominator", token)
-                return None
-            value = Fraction(numerator, denominator)
-            if not as_float:
-                self.exact_literals[token] = value
-                return value
-            try:
-                return float(value)
-            except OverflowError:
-                self.error(line, column, "SYNTAX: number out of range", token)
-                return None
-        if _DECIMAL_RE.match(token):
-            value = float(token)
-            if not math.isfinite(value):
-                self.error(line, column, "SYNTAX: number out of range", token)
-                return None
-            if as_float:
-                return value
-            snapped = Fraction(value).limit_denominator(DECIMAL_DENOMINATOR)
-            self.note(
-                line,
-                column,
-                f"decimal literal converted to rational {snapped}",
-                token,
-            )
-            return snapped
-        self.error(line, column, f"SYNTAX: expected {noun}", token)
-        return None
-
-    def parse_label(self, token: str, line: int, column: int | tuple) -> str | None:
-        if _LABEL_RE.fullmatch(token):
-            return token
-        self.error(line, column, "SYNTAX: invalid label", token)
-        return None
-
-
 def parse_document(text: str) -> ParseResult:
     """Parse a document; never raises on malformed input.
 
     On failure ``ParseResult.document`` is None and ``diagnostics`` explains
     why; NOTE-level entries (e.g. decimal conversions) can accompany success.
     """
-    p = _DocParser(text)
-    sections = _split_sections(p)
-    if sections is None or p.has_errors():
-        return ParseResult(None, p.diags)
+    from . import _parser  # the parser loads on first parse
 
-    entries = _key_values(p, sections.get("metadata", []), ("name", "description"), "metadata")
-    metadata = {key: value for key, (_, _, value) in entries.items()}
-    scenario_lines = sections.get("scenario")
-    if scenario_lines is None:
-        p.error(1, 1, "SYNTAX: missing [scenario] section")
-        return ParseResult(None, p.diags)
-    scenario = _build_scenario(p, scenario_lines)
-
-    present = [name for name in _PAYLOAD_NAMES if name in sections]
-    if len(present) != 1:
-        p.error(
-            1,
-            1,
-            "SYNTAX: document needs exactly one of "
-            "[behavior], [noncontextual], [contextual], [singlet]; "
-            f"found {len(present)}",
-        )
-        return ParseResult(None, p.diags)
-
-    if scenario is None or p.has_errors():
-        return ParseResult(None, p.diags)
-
-    kind = present[0]
-    builders: dict[str, Callable] = {
-        "behavior": _build_behavior,
-        "noncontextual": _build_noncontextual,
-        "contextual": _build_contextual,
-        "singlet": _build_singlet,
-    }
-    payload = builders[kind](p, scenario, sections[kind])
-    if payload is None or p.has_errors():
-        return ParseResult(None, p.diags)
-
-    document = ModelDocument(
-        scenario=scenario,
-        name=metadata.get("name"),
-        description=metadata.get("description"),
-        **{kind: payload},
-    )
-    return ParseResult(document, p.diags)
-
-
-_Line = tuple[int, str]  # (1-based line number, content with comments removed)
-
-
-def _split_sections(p: _DocParser) -> dict[str, list[_Line]] | None:
-    content: list[_Line] = []
-    for i, raw in enumerate(p.lines, start=1):
-        stripped = _COMMENT_RE.split(raw, 1)[0]
-        if stripped.strip():
-            content.append((i, stripped))
-    if not content:
-        p.error(1, 1, "SYNTAX: empty document")
-        return None
-
-    header_line, header_text = content[0]
-    tokens = header_text.split()
-    if len(tokens) != 2 or tokens[0] != "bellbox-format":
-        message = "SYNTAX: expected version header 'bellbox-format 1'"
-        p.error_at_head(header_line, header_text, message)
-        return None
-    version = tokens[1]
-    if (
-        not _INT_RE.match(version)
-        or len(version) > MAX_LITERAL_DIGITS
-        or int(version) != FORMAT_VERSION
-    ):
-        p.error(
-            header_line,
-            (header_text, 1),
-            f"VERSION_UNSUPPORTED: this reader handles version {FORMAT_VERSION}",
-            version,
-        )
-        return None
-
-    sections: dict[str, list[_Line]] = {}
-    current: list[_Line] | None = None
-    for line_no, text in content[1:]:
-        m = _SECTION_RE.match(text)
-        if m:
-            name = m.group(1)
-            column = text.index("[") + 1
-            if name not in _SECTION_NAMES:
-                p.error(line_no, column, "SYNTAX: unknown section", f"[{name}]")
-                current = []  # swallow the body of the unknown section
-                continue
-            if name in sections:
-                p.error(line_no, column, "SYNTAX: duplicate section", f"[{name}]")
-                current = []
-                continue
-            sections[name] = []
-            current = sections[name]
-            continue
-        if current is None:
-            p.error_at_head(line_no, text, "SYNTAX: content before any section")
-            continue
-        current.append((line_no, text))
-    return sections
-
-
-def _key_values(
-    p: _DocParser, lines: list[_Line], keys: tuple[str, ...], section: str
-) -> dict[str, tuple[int, int, str]]:
-    """``key = value`` lines of one section: key -> (line, value column, value)."""
-    out: dict[str, tuple[int, int, str]] = {}
-    for line_no, text in lines:
-        m = _KEYVALUE_RE.match(text)
-        if not m:
-            p.error_at_head(line_no, text, "SYNTAX: expected 'key = value'")
-            continue
-        key = m.group(1)
-        if key not in keys:
-            p.error(line_no, m.start(1) + 1, f"SYNTAX: unknown {section} key", key)
-            continue
-        if key in out:
-            p.error(line_no, m.start(1) + 1, f"SYNTAX: duplicate {section} key", key)
-            continue
-        out[key] = (line_no, m.start(2) + 1, m.group(2))
-    return out
-
-
-def _build_scenario(p: _DocParser, lines: list[_Line]) -> Scenario | None:
-    first_line = lines[0][0] if lines else 1
-    raw = _key_values(p, lines, ("alice", "bob", "alice_outcomes", "bob_outcomes"), "scenario")
-
-    settings: dict[str, tuple[str, ...]] = {}
-    for key in ("alice", "bob"):
-        if key not in raw:
-            p.error(first_line, 1, f"SYNTAX: scenario needs '{key} = <labels>'")
-            continue
-        line_no, column, value = raw[key]
-        labels: dict[str, None] = {}  # ordered, with O(1) membership
-        for k, tok in enumerate(value.split()):
-            col = (value, k, column - 1)
-            label = p.parse_label(tok, line_no, col)
-            if label is not None:
-                if label in labels:
-                    p.error(line_no, col, "SYNTAX: duplicate setting label", label)
-                else:
-                    labels[label] = None
-        if labels:
-            settings[key] = tuple(labels)
-        else:
-            p.error(line_no, column, f"SYNTAX: {key} needs at least one setting")
-
-    counts: dict[str, tuple[int, ...]] = {}
-    for key, party in (("alice_outcomes", "alice"), ("bob_outcomes", "bob")):
-        if party not in settings:
-            continue
-        if key not in raw:
-            counts[party] = (2,) * len(settings[party])
-            continue
-        line_no, column, value = raw[key]
-        parsed = []
-        for k, tok in enumerate(value.split()):
-            col = (value, k, column - 1)
-            count = p.parse_int(tok, line_no, col) if _INT_RE.match(tok) else 0
-            if count is not None and count < 2:
-                p.error(line_no, col, "SYNTAX: outcome counts are integers >= 2", tok)
-            elif count is not None:
-                parsed.append(count)
-        if len(parsed) != len(settings[party]):
-            p.error(
-                line_no,
-                column,
-                f"SYNTAX: {key} needs one count per {party} setting "
-                f"({len(settings[party])})",
-            )
-        else:
-            counts[party] = tuple(parsed)
-
-    if p.has_errors() or "alice" not in settings or "bob" not in settings:
-        return None
-    cells = sum(counts["alice"]) * sum(counts["bob"])
-    if cells > MAX_TABLE_CELLS:
-        p.error(
-            first_line,
-            1,
-            f"SYNTAX: scenario has {printable(cells)} table cells, more than {MAX_TABLE_CELLS}",
-        )
-        return None
-    return Scenario(settings["alice"], settings["bob"], counts["alice"], counts["bob"])
-
-
-def _context(
-    p: _DocParser,
-    scenario: Scenario,
-    line_no: int,
-    x_label: str,
-    y_label: str,
-    x_col: int | tuple,
-    y_col: int | tuple,
-) -> Context | None:
-    """Context of an alice and a bob label; None (with a diagnostic) if unknown."""
-    if x_label not in scenario.alice_settings:
-        p.error(line_no, x_col, "UNKNOWN_LABEL: not an alice setting", x_label)
-        return None
-    if y_label not in scenario.bob_settings:
-        p.error(line_no, y_col, "UNKNOWN_LABEL: not a bob setting", y_label)
-        return None
-    return Context(scenario.alice_settings.index(x_label), scenario.bob_settings.index(y_label))
-
-
-def _build_behavior(
-    p: _DocParser, scenario: Scenario, lines: list[_Line]
-) -> Behavior | None:
-    as_float = numbers_seen = False
-    cells: dict[tuple[Context, int, int], Prob] = {}
-    cell_pos: dict[Context, tuple[int, int]] = {}
-    body: list[_Line] = []
-    for line_no, text in lines:
-        m = _KEYVALUE_RE.match(text)
-        if m and m.group(1) == "numbers":
-            if numbers_seen:
-                p.error(line_no, m.start(1) + 1, "SYNTAX: duplicate behavior key", "numbers")
-            elif m.group(2) == "float":
-                as_float = True
-            elif m.group(2) != "exact":
-                p.error(
-                    line_no,
-                    m.start(2) + 1,
-                    "SYNTAX: numbers mode is 'exact' or 'float'",
-                    m.group(2),
-                )
-            numbers_seen = True
-            continue
-        body.append((line_no, text))
-
-    for line_no, text in body:
-        m = _PROW_RE.match(text)
-        if not m:
-            p.error_at_head(line_no, text, "SYNTAX: expected 'P(a,b | x,y) = value'")
-            continue
-        a = p.parse_int(m.group(1), line_no, m.start(1) + 1)
-        b = p.parse_int(m.group(2), line_no, m.start(2) + 1)
-        if a is None or b is None:
-            continue
-        x_label, y_label = m.group(3), m.group(4)
-        ctx = _context(p, scenario, line_no, x_label, y_label, m.start(3) + 1, m.start(4) + 1)
-        if ctx is None:
-            continue
-        if not (1 <= a <= scenario.alice_outcomes[ctx.alice]) or not (
-            1 <= b <= scenario.bob_outcomes[ctx.bob]
-        ):
-            p.error(
-                line_no,
-                m.start(1) + 1,
-                f"SYNTAX: outcome pair ({a},{b}) out of range for context "
-                f"{ctx.label(scenario)}",
-            )
-            continue
-        value = p.parse_probability(
-            m.group(5), line_no, m.start(5) + 1, as_float=as_float
-        )
-        if value is None:
-            continue
-        key = (ctx, a, b)
-        if key in cells:
-            p.error(
-                line_no,
-                m.start(1) + 1,
-                f"SYNTAX: duplicate entry for P({a},{b} | {x_label},{y_label})",
-            )
-            continue
-        cells[key] = value
-        cell_pos.setdefault(ctx, (line_no, 1))
-
-    if p.has_errors():
-        return None
-
-    zero: Prob = 0.0 if as_float else Fraction(0)
-    table: dict[Context, tuple[tuple[Prob, ...], ...]] = {}
-    for ctx in scenario.contexts():
-        na = scenario.alice_outcomes[ctx.alice]
-        nb = scenario.bob_outcomes[ctx.bob]
-        grid = [
-            [cells.get((ctx, a, b), zero) for b in range(1, nb + 1)]
-            for a in range(1, na + 1)
-        ]
-        line_no, column = cell_pos.get(ctx, (lines[0][0] if lines else 1, 1))
-        total = exact_sum([v for row in grid for v in row])
-        negative = any(v < 0 for row in grid for v in row)
-        if negative:
-            p.error(
-                line_no,
-                column,
-                f"UNNORMALIZED: negative probability in behavior rows for "
-                f"context {ctx.label(scenario)}",
-            )
-        elif not sums_to_one(total):
-            p.error(
-                line_no,
-                column,
-                f"UNNORMALIZED: behavior rows for context {ctx.label(scenario)} "
-                f"sum to {printable(total)}",
-            )
-        table[ctx] = tuple(tuple(row) for row in grid)
-    if p.has_errors():
-        return None
-    return Behavior(scenario, table)
-
-
-class _CauseAccumulator:
-    """Shared cause/respond line handling for model sections."""
-
-    def __init__(
-        self, p: _DocParser, scenario: Scenario, where: str, ctx: Context | None = None
-    ) -> None:
-        self.p = p
-        self.scenario = scenario
-        self.where = where
-        # party -> setting indices each cause answers for
-        self.settings = dict(zip(("alice", "bob"), _answered_settings(scenario, ctx)))
-        self.causes: list[tuple[str, Prob, int]] = []  # (id, weight, line)
-        self.ids: set[str] = set()  # of self.causes
-        # party -> {(setting index, cause id): row}, as ResponseFunction takes it
-        self.rows: dict[str, dict[tuple[int, str], tuple[Prob, ...]]] = {"alice": {}, "bob": {}}
-
-    def on_cause(self, line_no: int, text: str, tokens: list[str]) -> None:
-        if len(tokens) != 4 or tokens[2] != "weight":
-            self.p.error_at_head(line_no, text, "SYNTAX: expected 'cause <id> weight <p/q>'")
-            return
-        cause_id = self.p.parse_label(tokens[1], line_no, (text, 1))
-        weight = self.p.parse_probability(tokens[3], line_no, (text, 3), as_float=False)
-        if cause_id is None or weight is None:
-            return
-        if cause_id in self.ids:
-            self.p.error(line_no, (text, 1), "SYNTAX: duplicate cause id", cause_id)
-            return
-        if weight.numerator < 0:
-            self.p.error(line_no, (text, 3), f"UNNORMALIZED: negative weight in {self.where}")
-            return
-        self.ids.add(cause_id)
-        self.causes.append((cause_id, weight, line_no))
-
-    def on_respond(self, line_no: int, text: str, tokens: list[str]) -> None:
-        if not self.causes:
-            self.p.error_at_head(line_no, text, "SYNTAX: 'respond' before any 'cause' line")
-            return
-        if len(tokens) < 5 or tokens[3] != "->":
-            self.p.error_at_head(
-                line_no, text, "SYNTAX: expected 'respond <party> <setting> -> <probabilities>'"
-            )
-            return
-        party, label = tokens[1], tokens[2]
-        if party not in ("alice", "bob"):
-            self.p.error(line_no, (text, 1), "SYNTAX: party is 'alice' or 'bob'", party)
-            return
-        party_settings = self.scenario.settings(party)  # type: ignore[arg-type]
-        if label not in party_settings:
-            self.p.error(line_no, (text, 2), f"UNKNOWN_LABEL: not a {party} setting", label)
-            return
-        setting = party_settings.index(label)
-        if setting not in self.settings[party]:
-            self.p.error(
-                line_no, (text, 2), f"SYNTAX: setting {label} is not part of {self.where}", label
-            )
-            return
-        row: list[Fraction] = []
-        for k in range(4, len(tokens)):
-            value = self.p.parse_probability(tokens[k], line_no, (text, k), as_float=False)
-            if value is None:
-                return
-            row.append(value)
-        counts = self.scenario.outcome_counts(party)  # type: ignore[arg-type]
-        if len(row) != counts[setting]:
-            self.p.error(
-                line_no,
-                (text, 4),
-                f"SYNTAX: {party} setting {label} needs "
-                f"{counts[setting]} probabilities, got {len(row)}",
-            )
-            return
-        total = exact_sum(row)
-        if any(v.numerator < 0 for v in row) or total != 1:
-            self.p.error(
-                line_no,
-                (text, 4),
-                f"UNNORMALIZED: response row sums to {printable(total)} in {self.where}",
-            )
-            return
-        cause_id = self.causes[-1][0]
-        rows = self.rows[party]
-        if (setting, cause_id) in rows:
-            self.p.error(
-                line_no,
-                (text, 2),
-                f"SYNTAX: duplicate response for {party} setting {label} "
-                f"under cause {cause_id}",
-            )
-            return
-        rows[(setting, cause_id)] = tuple(row)
-
-    def finish(
-        self, section_line: int
-    ) -> tuple[tuple[Cause, ...], ResponseFunction, ResponseFunction] | None:
-        if not self.causes:
-            self.p.error(section_line, 1, f"SYNTAX: {self.where} declares no causes")
-            return None
-        total = exact_sum([w for _, w, _ in self.causes])
-        if total != 1:
-            self.p.error(
-                self.causes[0][2],
-                1,
-                f"UNNORMALIZED: cause weights in {self.where} sum to {printable(total)}",
-            )
-        for cause_id, _, cause_line in self.causes:
-            for party in ("alice", "bob"):
-                labels = self.scenario.settings(party)  # type: ignore[arg-type]
-                for setting in self.settings[party]:
-                    if (setting, cause_id) not in self.rows[party]:
-                        self.p.error(
-                            cause_line,
-                            1,
-                            f"SYNTAX: cause {cause_id} has no response for "
-                            f"{party} setting {labels[setting]}",
-                        )
-        if self.p.has_errors():
-            return None
-        # A list, not a generator: tuple(generator) allocates spare slots and
-        # shrinks, and the shrunk tuple later idles in a per-size free list.
-        causes = tuple([Cause(cid, w) for cid, w, _ in self.causes])
-        return (
-            causes,
-            ResponseFunction("alice", self.rows["alice"]),
-            ResponseFunction("bob", self.rows["bob"]),
-        )
-
-
-def _build_noncontextual(
-    p: _DocParser, scenario: Scenario, lines: list[_Line]
-) -> NonContextualModel | None:
-    acc = _CauseAccumulator(p, scenario, "the cause set")
-    for line_no, text in lines:
-        tokens = text.split()
-        if tokens[0] == "cause":
-            acc.on_cause(line_no, text, tokens)
-        elif tokens[0] == "respond":
-            acc.on_respond(line_no, text, tokens)
-        else:
-            p.error_at_head(line_no, text, "SYNTAX: expected 'cause' or 'respond'")
-    built = acc.finish(lines[0][0] if lines else 1)
-    if built is None:
-        return None
-    return _checked(NonContextualModel(scenario, *built))
-
-
-def _build_contextual(
-    p: _DocParser, scenario: Scenario, lines: list[_Line]
-) -> ContextualModel | None:
-    acc: _CauseAccumulator | None = None
-    pending: dict[Context, tuple[int, _CauseAccumulator]] = {}
-    for line_no, text in lines:
-        tokens = text.split()
-        head = tokens[0]
-        if head == "context":
-            acc = None
-            if len(tokens) != 3:
-                p.error_at_head(line_no, text, "SYNTAX: expected 'context <x> <y>'")
-                continue
-            ctx = _context(p, scenario, line_no, tokens[1], tokens[2], (text, 1), (text, 2))
-            if ctx is None:
-                continue
-            if ctx in pending:
-                p.error(
-                    line_no,
-                    (text, 1),
-                    f"SYNTAX: duplicate block for context {ctx.label(scenario)}",
-                )
-                continue
-            acc = _CauseAccumulator(p, scenario, f"context {ctx.label(scenario)}", ctx)
-            pending[ctx] = (line_no, acc)
-        elif head in ("cause", "respond"):
-            if acc is None:
-                p.error(line_no, (text, 0), f"SYNTAX: '{head}' before any 'context' line")
-            elif head == "cause":
-                acc.on_cause(line_no, text, tokens)
-            else:
-                acc.on_respond(line_no, text, tokens)
-        else:
-            p.error_at_head(line_no, text, "SYNTAX: expected 'context', 'cause' or 'respond'")
-
-    blocks: dict[Context, ContextBlock] = {}
-    for ctx, (block_line, block_acc) in pending.items():
-        built = block_acc.finish(block_line)
-        if built is not None:
-            blocks[ctx] = ContextBlock(*built)
-    for ctx in scenario.contexts():
-        if ctx not in pending:
-            p.error(
-                lines[0][0] if lines else 1,
-                1,
-                f"SYNTAX: missing block for context {ctx.label(scenario)}",
-            )
-    if p.has_errors():
-        return None
-    return _checked(ContextualModel(scenario, blocks))
-
-
-def _build_singlet(
-    p: _DocParser, scenario: Scenario, lines: list[_Line]
-) -> SingletSpec | None:
-    if not scenario.is_binary():
-        p.error(
-            lines[0][0] if lines else 1,
-            1,
-            "SYNTAX: singlet documents need two-outcome settings",
-        )
-        return None
-    angles: dict[str, tuple[float, ...]] = {}
-    for line_no, text in lines:
-        m = _KEYVALUE_RE.match(text)
-        if not m or m.group(1) not in ("alice_angles_deg", "bob_angles_deg"):
-            message = "SYNTAX: expected 'alice_angles_deg = ...' or 'bob_angles_deg = ...'"
-            p.error_at_head(line_no, text, message)
-            continue
-        key = m.group(1)
-        if key in angles:
-            p.error(line_no, m.start(1) + 1, "SYNTAX: duplicate key", key)
-            continue
-        values, value_text = [], m.group(2)
-        for k, tok in enumerate(value_text.split()):
-            column = (value_text, k, m.start(2))
-            value = p.parse_probability(tok, line_no, column, as_float=True, noun="a number")
-            if value is not None:
-                values.append(value)
-        angles[key] = tuple(values)
-    for key, party in (("alice_angles_deg", "alice"), ("bob_angles_deg", "bob")):
-        expected = len(scenario.settings(party))  # type: ignore[arg-type]
-        got = angles.get(key)
-        if got is None or len(got) != expected:
-            p.error(
-                lines[0][0] if lines else 1,
-                1,
-                f"SYNTAX: {key} needs exactly {expected} angles",
-            )
-    if p.has_errors():
-        return None
-    return SingletSpec(angles["alice_angles_deg"], angles["bob_angles_deg"])
+    return _parser.parse(text)
 
 
 # ---------------------------------------------------------------------------
@@ -847,10 +177,31 @@ def fraction_text(value: Fraction) -> str:
     return str(value)
 
 
+def _unreadable(noun: str, value: object) -> BellboxError:
+    return BellboxError(
+        f"{noun} {printable(value)!r} would not read back from the text format",
+        code="UNREADABLE_VALUE",
+    )
+
+
+def _label_text(value: str, noun: str) -> str:
+    """``value``, or ``UNREADABLE_VALUE`` if the parser's label rule refuses it."""
+    if not (isinstance(value, str) and _LABEL_RE.fullmatch(value)):
+        raise _unreadable(noun, value)
+    return value
+
+
+def _float_text(value: float) -> str:
+    """``repr(value)``, or ``UNREADABLE_VALUE`` for NaN and the infinities."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _unreadable("number", value)
+    return repr(value)
+
+
 def _fmt_prob(value: Prob) -> str:
     if isinstance(value, Fraction):
         return fraction_text(value)
-    return repr(value)
+    return _float_text(value)
 
 
 def serialize_document(document: ModelDocument) -> str:
@@ -864,10 +215,10 @@ def serialize_document(document: ModelDocument) -> str:
         out.append("")
     scenario = document.scenario
     out.append("[scenario]")
-    out.append("alice = " + " ".join(scenario.alice_settings))
-    out.append("alice_outcomes = " + " ".join(str(n) for n in scenario.alice_outcomes))
-    out.append("bob = " + " ".join(scenario.bob_settings))
-    out.append("bob_outcomes = " + " ".join(str(n) for n in scenario.bob_outcomes))
+    for party in PARTIES:
+        labels = [_label_text(label, "setting label") for label in scenario.settings(party)]
+        out.append(f"{party} = " + " ".join(labels))
+        out.append(f"{party}_outcomes = " + " ".join(map(str, scenario.outcome_counts(party))))
     out.append("")
 
     if document.behavior is not None:
@@ -884,7 +235,8 @@ def serialize_document(document: ModelDocument) -> str:
     else:
         out.append("[singlet]")
         for key in ("alice_angles_deg", "bob_angles_deg"):
-            out.append(f"{key} = " + " ".join(repr(a) for a in getattr(document.singlet, key)))
+            angles = [_float_text(a) for a in getattr(document.singlet, key)]
+            out.append(f"{key} = " + " ".join(angles))
     out.append("")
     return "\n".join(out)
 
@@ -921,7 +273,7 @@ def _serialize_causes(
     out = []
     responses = (source.alice_response, source.bob_response)
     for cause in source.causes:
-        out.append(f"cause {cause.id} weight {_fmt_prob(cause.weight)}")
+        out.append(f"cause {_label_text(cause.id, 'cause id')} weight {_fmt_prob(cause.weight)}")
         for party, response, answered in zip(("alice", "bob"), responses, settings):
             labels = scenario.settings(party)  # type: ignore[arg-type]
             for setting in answered:

@@ -11,8 +11,9 @@ class BellboxError(Exception):
     """Base class for all library errors.
 
     Raised as itself with codes INTERNAL (a failed proof check),
-    TOO_LONG_TO_PRINT (a rational the text format cannot carry) and
-    UNREADABLE_METADATA (a metadata value the text format cannot carry).
+    TOO_LONG_TO_PRINT (a rational the text format cannot carry),
+    UNREADABLE_METADATA (a metadata value the text format cannot carry) and
+    UNREADABLE_VALUE (a label, cause id or float it cannot carry).
     """
 
     def __init__(self, message: str, *, code: str = "INTERNAL") -> None:

@@ -1,6 +1,7 @@
 """Document parsing, canonical serialization, builtins, and fuzz totality."""
 
 import dataclasses
+import math
 import random
 import sys
 from fractions import Fraction
@@ -10,14 +11,23 @@ import pytest
 from bellbox import document
 from bellbox import (
     BUILTIN_NAMES,
+    Behavior,
     BellboxError,
+    Cause,
     Context,
+    ModelDocument,
     ModelError,
+    NonContextualModel,
+    ResponseFunction,
+    Scenario,
+    SingletSpec,
     UnknownBuiltinError,
     builtin_document,
     exact_behavior,
     parse_document,
     serialize_document,
+    socks_on,
+    validate_model,
 )
 from _docgen import mutate_text, random_document
 from _tables import SOCKS_ON_TABLE, UNIFORM_TABLE, behavior_from, STANDARD_SCENARIO
@@ -329,6 +339,42 @@ class TestRoundTrip:
         doc = dataclasses.replace(builtin_document("socks-on"), name=value, description=value)
         assert parse_document(serialize_document(doc)).document == doc
 
+    @pytest.mark.parametrize("label", ["A B", "#a", "a=b", "", "é"])
+    def test_setting_label_that_would_not_read_back_is_refused(self, label):
+        scenario = Scenario.binary((label, "X"), ("B", "Y"))
+        doc = ModelDocument(scenario=scenario, behavior=behavior_from(scenario, UNIFORM_TABLE))
+        _assert_unreadable(doc, repr(label))
+
+    def test_bob_setting_label_is_checked_too(self):
+        scenario = Scenario.binary(("A", "X"), ("B", "Y Z"))
+        doc = ModelDocument(scenario=scenario, behavior=behavior_from(scenario, UNIFORM_TABLE))
+        _assert_unreadable(doc, "'Y Z'")
+
+    def test_cause_id_that_would_not_read_back_is_refused(self):
+        model = socks_on()
+        rename = {model.causes[0].id: "lam 1"}
+        causes = tuple(Cause(rename.get(c.id, c.id), c.weight) for c in model.causes)
+        alice, bob = (
+            ResponseFunction(r.party, {(x, rename.get(c, c)): row for (x, c), row in r.table.items()})
+            for r in (model.alice_response, model.bob_response)
+        )
+        renamed = NonContextualModel(model.scenario, causes, alice, bob)
+        validate_model(renamed)  # otherwise valid
+        doc = ModelDocument(scenario=model.scenario, noncontextual=renamed)
+        _assert_unreadable(doc, "'lam 1'")
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_singlet_angle_that_would_not_read_back_is_refused(self, angle):
+        doc = ModelDocument(STANDARD_SCENARIO, singlet=SingletSpec((0.0, angle), (45.0, 135.0)))
+        _assert_unreadable(doc, repr(str(angle)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_float_entry_that_would_not_read_back_is_refused(self, value):
+        table = {ctx: ((0.25, 0.25), (0.25, 0.25)) for ctx in STANDARD_SCENARIO.contexts()}
+        table[Context(1, 0)] = ((0.25, value), (0.25, 0.25))
+        doc = ModelDocument(STANDARD_SCENARIO, behavior=Behavior(STANDARD_SCENARIO, table))
+        _assert_unreadable(doc, repr(str(value)))
+
     def test_contexts_canonicalized_in_order(self):
         doc = builtin_document("socks-off")
         text = serialize_document(doc)
@@ -347,6 +393,13 @@ class TestRoundTrip:
             serialize_document(doc)
         assert exc.value.code == "MODEL_INVALID"
         assert "missing block for context (A',B')" in str(exc.value)
+
+
+def _assert_unreadable(doc, shown: str) -> None:
+    with pytest.raises(BellboxError) as exc:
+        serialize_document(doc)
+    assert exc.value.code == "UNREADABLE_VALUE"
+    assert shown in str(exc.value)
 
 
 class TestFuzzTotality:

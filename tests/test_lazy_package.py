@@ -2,7 +2,8 @@
 
 ``import bellbox`` imports no submodule; a name resolves on first access
 (PEP 562) to the very object its submodule defines.  Each CLI subcommand
-leaves exactly the modules it needs in ``sys.modules``.  ``dir(bellbox)``
+leaves exactly the modules it needs in ``sys.modules``: on a builtin no
+parser, on a file the parser (``bellbox._parser``) too.  ``dir(bellbox)``
 and ``from bellbox import *`` are pinned to the names the package had when
 it imported every submodule eagerly.
 """
@@ -62,6 +63,7 @@ LOADED_BY = {
     "classify": ANALYSIS,
 }
 SAMPLE_FLAGS = ["--trials", "200"]
+PARSER = "bellbox._parser"
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -70,8 +72,8 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60, check=False)
 
 
-def _argv(command: str) -> list[str]:
-    return [command, "socks-off", *(SAMPLE_FLAGS if command == "sample" else [])]
+def _argv(command: str, source: str = "socks-off") -> list[str]:
+    return [command, source, *(SAMPLE_FLAGS if command == "sample" else [])]
 
 
 _NAMES = """\
@@ -128,6 +130,31 @@ def test_subcommand_loads_only_what_it_runs(command):
     done = _python("-c", _PROBE, *_argv(command))
     assert done.returncode == 0, done.stderr
     assert set(done.stdout.decode().split()) == LOADED_BY[command]
+
+
+@pytest.mark.parametrize("command", sorted(LOADED_BY))
+def test_subcommand_on_a_file_also_loads_the_parser(command, tmp_path):
+    path = tmp_path / "socks-off.bellbox"
+    text = bellbox.serialize_document(bellbox.builtin_document("socks-off"))
+    path.write_text(text, encoding="utf-8")
+    done = _python("-c", _PROBE, *_argv(command, str(path)))
+    assert done.returncode == 0, done.stderr
+    assert set(done.stdout.decode().split()) == LOADED_BY[command] | {PARSER}
+
+
+_PARSE_PROBE = f"""\
+import sys
+import bellbox.document
+before = {PARSER!r} in sys.modules
+bellbox.document.parse_document("bellbox-format 1")
+print(before, {PARSER!r} in sys.modules)
+"""
+
+
+def test_document_loads_the_parser_on_first_parse():
+    done = _python("-c", _PARSE_PROBE)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"False True\n"
 
 
 _THREADS = """\

@@ -26,7 +26,7 @@ from .document import (
 )  # fmt: skip
 from .models import Cause, ContextBlock, ContextualModel, NonContextualModel, ResponseFunction
 from .models import _answered_settings, _checked
-from .scenario import Behavior, Context, Prob, Scenario, exact_sum, printable, sums_to_one
+from .scenario import PARTIES, Behavior, Context, Prob, Scenario, exact_sum, printable, sums_to_one
 
 _SECTION_NAMES = ("metadata", "scenario", "behavior", "noncontextual", "contextual", "singlet")
 _SECTION_RE = re.compile(r"^\s*\[([A-Za-z]+)\]\s*$")
@@ -42,8 +42,10 @@ _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
 class _DocParser:
     def __init__(self, text: str) -> None:
         self.diags: list[ParseDiagnostic] = []
+        self.errors = 0  # of self.diags
         self.lines = text.splitlines()
         self.exact_literals: dict[str, Fraction] = {}  # token -> value, this parse only
+        self.labels: set[str] = set()  # labels ``_LABEL_RE`` accepted, this parse only
         self.token_starts: dict[str, list[int]] = {}  # text -> its tokens' starts, this parse only
 
     def column(self, text: str, k: int, offset: int = 0) -> int:
@@ -61,6 +63,7 @@ class _DocParser:
     def error(self, line: int, column: int | tuple, message: str, token: str = "") -> None:
         column = column if isinstance(column, int) else self.column(*column)
         self.diags.append(ParseDiagnostic("error", line, column, message, token))
+        self.errors += 1
 
     def note(self, line: int, column: int | tuple, message: str, token: str = "") -> None:
         column = column if isinstance(column, int) else self.column(*column)
@@ -71,19 +74,15 @@ class _DocParser:
         self.error(line, (text, 0), message, text.split()[0])
 
     def has_errors(self) -> bool:
-        return any(d.severity == "error" for d in self.diags)
+        return self.errors > 0
 
     # -- numeric literals ---------------------------------------------------
 
     def parse_int(self, token: str, line: int, column: int | tuple) -> int | None:
         """Digits with an optional sign; None (with a diagnostic) when too long."""
         if len(token.lstrip("+-")) > MAX_LITERAL_DIGITS:
-            self.error(
-                line,
-                column,
-                f"SYNTAX: integer literal longer than {MAX_LITERAL_DIGITS} digits",
-                token[:40] + "...",
-            )
+            message = f"SYNTAX: integer literal longer than {MAX_LITERAL_DIGITS} digits"
+            self.error(line, column, message, token[:40] + "...")
             return None
         return int(token)
 
@@ -126,21 +125,18 @@ class _DocParser:
             if as_float:
                 return value
             snapped = Fraction(value).limit_denominator(DECIMAL_DENOMINATOR)
-            self.note(
-                line,
-                column,
-                f"decimal literal converted to rational {snapped}",
-                token,
-            )
+            self.note(line, column, f"decimal literal converted to rational {snapped}", token)
             return snapped
         self.error(line, column, f"SYNTAX: expected {noun}", token)
         return None
 
     def parse_label(self, token: str, line: int, column: int | tuple) -> str | None:
-        if _LABEL_RE.fullmatch(token):
-            return token
-        self.error(line, column, "SYNTAX: invalid label", token)
-        return None
+        if token not in self.labels:
+            if not _LABEL_RE.fullmatch(token):
+                self.error(line, column, "SYNTAX: invalid label", token)
+                return None
+            self.labels.add(token)
+        return token
 
 
 def parse(text: str) -> ParseResult:
@@ -197,7 +193,7 @@ _Line = tuple[int, str]  # (1-based line number, content with comments removed)
 def _split_sections(p: _DocParser) -> dict[str, list[_Line]] | None:
     content: list[_Line] = []
     for i, raw in enumerate(p.lines, start=1):
-        stripped = _COMMENT_RE.split(raw, 1)[0]
+        stripped = _COMMENT_RE.split(raw, 1)[0] if "#" in raw else raw
         if stripped.strip():
             content.append((i, stripped))
     if not content:
@@ -227,7 +223,7 @@ def _split_sections(p: _DocParser) -> dict[str, list[_Line]] | None:
     sections: dict[str, list[_Line]] = {}
     current: list[_Line] | None = None
     for line_no, text in content[1:]:
-        m = _SECTION_RE.match(text)
+        m = _SECTION_RE.match(text) if "[" in text else None
         if m:
             name = m.group(1)
             column = text.index("[") + 1
@@ -460,12 +456,15 @@ class _CauseAccumulator:
         self.p = p
         self.scenario = scenario
         self.where = where
-        # party -> setting indices each cause answers for
-        self.settings = dict(zip(("alice", "bob"), _answered_settings(scenario, ctx)))
         self.causes: list[tuple[str, Prob, int]] = []  # (id, weight, line)
         self.ids: set[str] = set()  # of self.causes
         # party -> {(setting index, cause id): row}, as ResponseFunction takes it
         self.rows: dict[str, dict[tuple[int, str], tuple[Prob, ...]]] = {"alice": {}, "bob": {}}
+        # party -> {label: (setting index, outcome count, rows)} of the settings causes answer
+        self.answers = {party: {
+            scenario.settings(party)[s]: (s, scenario.outcome_counts(party)[s], self.rows[party])
+            for s in answered
+        } for party, answered in zip(PARTIES, _answered_settings(scenario, ctx))}
 
     def on_cause(self, line_no: int, text: str, tokens: list[str]) -> None:
         if len(tokens) != 4 or tokens[2] != "weight":
@@ -494,51 +493,39 @@ class _CauseAccumulator:
             )
             return
         party, label = tokens[1], tokens[2]
-        if party not in ("alice", "bob"):
+        answers = self.answers.get(party)
+        if answers is None:
             self.p.error(line_no, (text, 1), "SYNTAX: party is 'alice' or 'bob'", party)
             return
-        party_settings = self.scenario.settings(party)  # type: ignore[arg-type]
-        if label not in party_settings:
-            self.p.error(line_no, (text, 2), f"UNKNOWN_LABEL: not a {party} setting", label)
+        answer = answers.get(label)
+        if answer is None:
+            if label not in self.scenario.settings(party):  # type: ignore[arg-type]
+                self.p.error(line_no, (text, 2), f"UNKNOWN_LABEL: not a {party} setting", label)
+            else:
+                message = f"SYNTAX: setting {label} is not part of {self.where}"
+                self.p.error(line_no, (text, 2), message, label)
             return
-        setting = party_settings.index(label)
-        if setting not in self.settings[party]:
-            self.p.error(
-                line_no, (text, 2), f"SYNTAX: setting {label} is not part of {self.where}", label
-            )
-            return
-        row: list[Fraction] = []
+        setting, count, rows = answer
+        literals, row = self.p.exact_literals, []
         for k in range(4, len(tokens)):
-            value = self.p.parse_probability(tokens[k], line_no, (text, k), as_float=False)
+            value = literals.get(tokens[k])
             if value is None:
-                return
+                value = self.p.parse_probability(tokens[k], line_no, (text, k), as_float=False)
+                if value is None:
+                    return
             row.append(value)
-        counts = self.scenario.outcome_counts(party)  # type: ignore[arg-type]
-        if len(row) != counts[setting]:
-            self.p.error(
-                line_no,
-                (text, 4),
-                f"SYNTAX: {party} setting {label} needs "
-                f"{counts[setting]} probabilities, got {len(row)}",
-            )
+        if len(row) != count:
+            message = f"SYNTAX: {party} setting {label} needs {count} probabilities"
+            self.p.error(line_no, (text, 4), f"{message}, got {len(row)}")
             return
-        total = exact_sum(row)
-        if any(v.numerator < 0 for v in row) or total != 1:
-            self.p.error(
-                line_no,
-                (text, 4),
-                f"UNNORMALIZED: response row sums to {printable(total)} in {self.where}",
-            )
+        if not _is_distribution(row):
+            message = f"UNNORMALIZED: response row sums to {printable(exact_sum(row))}"
+            self.p.error(line_no, (text, 4), f"{message} in {self.where}")
             return
         cause_id = self.causes[-1][0]
-        rows = self.rows[party]
         if (setting, cause_id) in rows:
-            self.p.error(
-                line_no,
-                (text, 2),
-                f"SYNTAX: duplicate response for {party} setting {label} "
-                f"under cause {cause_id}",
-            )
+            message = f"SYNTAX: duplicate response for {party} setting {label}"
+            self.p.error(line_no, (text, 2), f"{message} under cause {cause_id}")
             return
         rows[(setting, cause_id)] = tuple(row)
 
@@ -548,34 +535,42 @@ class _CauseAccumulator:
         if not self.causes:
             self.p.error(section_line, 1, f"SYNTAX: {self.where} declares no causes")
             return None
-        total = exact_sum([w for _, w, _ in self.causes])
-        if total != 1:
-            self.p.error(
-                self.causes[0][2],
-                1,
-                f"UNNORMALIZED: cause weights in {self.where} sum to {printable(total)}",
-            )
-        for cause_id, _, cause_line in self.causes:
-            for party in ("alice", "bob"):
-                labels = self.scenario.settings(party)  # type: ignore[arg-type]
-                for setting in self.settings[party]:
-                    if (setting, cause_id) not in self.rows[party]:
-                        self.p.error(
-                            cause_line,
-                            1,
-                            f"SYNTAX: cause {cause_id} has no response for "
-                            f"{party} setting {labels[setting]}",
-                        )
+        weights = [w for _, w, _ in self.causes]
+        if not _is_distribution(weights):  # they are >= 0: on_cause refuses the others
+            message = f"UNNORMALIZED: cause weights in {self.where} sum to"
+            self.p.error(self.causes[0][2], 1, f"{message} {printable(exact_sum(weights))}")
+        # Rows are keyed by an answered setting and a cause id, once each: all are there
+        # exactly when each party has one per setting and cause.
+        n, rows = len(self.causes), self.rows
+        if any(len(rows[party]) != n * len(answers) for party, answers in self.answers.items()):
+            for cause_id, _, cause_line in self.causes:
+                for party, answers in self.answers.items():
+                    for label, (setting, _, _) in answers.items():
+                        if (setting, cause_id) not in rows[party]:
+                            message = f"SYNTAX: cause {cause_id} has no response for {party}"
+                            self.p.error(cause_line, 1, f"{message} setting {label}")
         if self.p.has_errors():
             return None
         # A list, not a generator: tuple(generator) allocates spare slots and
         # shrinks, and the shrunk tuple later idles in a per-size free list.
         causes = tuple([Cause(cid, w) for cid, w, _ in self.causes])
-        return (
-            causes,
-            ResponseFunction("alice", self.rows["alice"]),
-            ResponseFunction("bob", self.rows["bob"]),
-        )
+        return (causes, *[ResponseFunction(party, rows[party]) for party in PARTIES])
+
+
+def _is_distribution(values: list[Fraction]) -> bool:
+    """Every value is >= 0 and they sum to exactly 1, checked on integer numerators over one
+    denominator: the values' own when they share it, else the lcm of theirs."""
+    den, total = values[0].denominator, 0
+    for v in values:
+        if v.denominator != den:
+            dens = [v.denominator for v in values]
+            den = math.lcm(*dens)
+            nums = [v.numerator * (den // d) for v, d in zip(values, dens)]
+            return min(nums) >= 0 and sum(nums) == den
+        if v.numerator < 0:
+            return False
+        total += v.numerator
+    return total == den
 
 
 def _build_noncontextual(

@@ -117,7 +117,7 @@ def nosignaling_residual(behavior: Behavior) -> Prob:
     require_valid(behavior)
     scenario, view = behavior.scenario, behavior._int_view()
     table = _marginal_rows(scenario, *((view[1], sum) if view else (behavior.table, exact_sum)))
-    residual: Prob = 0 if view else Fraction(0)
+    residual: Prob = 0
     for party, own_count, co_count in (
         ("alice", len(scenario.alice_settings), len(scenario.bob_settings)),
         ("bob", len(scenario.bob_settings), len(scenario.alice_settings)),
@@ -128,7 +128,7 @@ def nosignaling_residual(behavior: Behavior) -> Prob:
                 gap = max(values) - min(values)
                 if gap > residual:
                     residual = gap
-    return Fraction(residual, view[0]) if view else residual
+    return Fraction(residual, view[0]) if view else residual or Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +164,9 @@ def strategy_behavior(scenario: Scenario, strategy: DeterministicStrategy) -> Be
 
 @functools.lru_cache(maxsize=16)
 def _polytope(alice_outcomes: tuple[int, ...], bob_outcomes: tuple[int, ...]) -> tuple:
-    """Strategies and entry keys, both in lexicographic order; immutable, so
-    callers share them.  Neither depends on setting labels, so they are
-    built once per outcome-count shape."""
+    """Strategies and entry keys, both in lexicographic order, and per strategy the positions
+    of the entries it hits, one per context; immutable, so callers share them.  None depends
+    on setting labels, so they are built once per outcome-count shape."""
     strategies = [
         DeterministicStrategy(alice, bob)
         for alice in itertools.product(*[range(1, n + 1) for n in alice_outcomes])
@@ -179,7 +179,8 @@ def _polytope(alice_outcomes: tuple[int, ...], bob_outcomes: tuple[int, ...]) ->
         for a in range(1, na + 1)
         for b in range(1, nb + 1)
     ]
-    return tuple(strategies), tuple(keys)
+    hits = [tuple([i for i, (ctx, a, b) in enumerate(keys) if s.hits(ctx, a, b)]) for s in strategies]
+    return tuple(strategies), tuple(keys), tuple(hits)
 
 
 @functools.lru_cache(maxsize=16)
@@ -189,9 +190,9 @@ def _membership_matrix(
     """The membership system's matrix, read once for the solver: the 0/1
     incidence rows of the strategies on the entries, then the all-ones
     weight row."""
-    strategies, keys = _polytope(alice_outcomes, bob_outcomes)
-    rows = [[int(s.hits(ctx, a, b)) for s in strategies] for ctx, a, b in keys]
-    rows.append([1] * len(strategies))
+    _, keys, hits = _polytope(alice_outcomes, bob_outcomes)
+    rows = [[int(i in hit) for hit in hits] for i in range(len(keys))]
+    rows.append([1] * len(hits))
     return ConstraintMatrix(rows)
 
 
@@ -250,11 +251,14 @@ class InfeasibilityCertificate:
         object.__setattr__(self, "coefficients", SealedDict(self.coefficients))
 
     def evaluate(self, behavior: Behavior) -> Prob:
-        return _functional_value(self.coefficients, behavior)
+        """Sum of coefficient times entry over the entries, in entry order."""
+        coefficients = self.coefficients
+        return exact_sum([c * v for ctx, a, b, v in behavior.entries() if (c := coefficients.get((ctx, a, b), 0)) != 0])
 
     def strategy_bound(self) -> Fraction:
+        """The functional's maximum over the deterministic strategies."""
         scenario = self.scenario
-        strategies, entry_keys = _polytope(scenario.alice_outcomes, scenario.bob_outcomes)
+        strategies, entry_keys, _ = _polytope(scenario.alice_outcomes, scenario.bob_outcomes)
         known = set(entry_keys)
         for key in self.coefficients:
             if key not in known:
@@ -263,7 +267,8 @@ class InfeasibilityCertificate:
                     "of the scenario",
                     code="SCENARIO_SHAPE",
                 )
-        return _strategy_bound(self.coefficients, strategies)
+        items = self.coefficients.items()
+        return max(exact_sum([c for (ctx, a, b), c in items if s.hits(ctx, a, b)]) for s in strategies)
 
     def verify(self, behavior: Behavior) -> bool:
         """Recompute both sides from scratch against ``behavior``."""
@@ -271,34 +276,6 @@ class InfeasibilityCertificate:
             self.strategy_bound() == self.local_bound
             and self.evaluate(behavior) > self.local_bound
         )
-
-
-def _integer_coefficients(coefficients: dict) -> tuple[int, dict] | None:
-    """``(den, {key: integer numerator over den})`` of exact coefficients, else ``None``."""
-    if not all([isinstance(c, (int, Fraction)) for c in coefficients.values()]):
-        return None
-    den = math.lcm(*[c.denominator for c in coefficients.values()])
-    return den, {key: c.numerator * (den // c.denominator) for key, c in coefficients.items()}
-
-
-def _functional_value(coefficients: dict, behavior: Behavior) -> Prob:
-    """Sum of coefficient times entry over the entries, in entry order; on integers if exact."""
-    view, lifted = behavior._int_view(), _integer_coefficients(coefficients)
-    if view and lifted:
-        (den, grids), (scale, numerators) = view, lifted
-        nums = [n for ctx in behavior.scenario.contexts() for row in grids[ctx] for n in row]
-        total = sum([numerators.get((ctx, a, b), 0) * n for (ctx, a, b, _), n in zip(behavior.entries(), nums)])
-        return Fraction(total, den * scale)
-    entries = behavior.entries()
-    return exact_sum([c * v for ctx, a, b, v in entries if (c := coefficients.get((ctx, a, b), 0)) != 0])
-
-
-def _strategy_bound(coefficients: dict, strategies: Sequence[DeterministicStrategy]) -> Fraction:
-    """The functional's maximum over the deterministic strategies; on integers when exact."""
-    den, items = _integer_coefficients(coefficients) or (None, coefficients)
-    add = sum if den else exact_sum
-    best = max(add([c for (ctx, a, b), c in items.items() if s.hits(ctx, a, b)]) for s in strategies)
-    return Fraction(best, den) if den else best
 
 
 @dataclass(frozen=True)
@@ -340,7 +317,7 @@ def _snap(value: Prob) -> tuple[int, int]:
 def _snap_behavior(behavior: Behavior) -> tuple[Behavior, float]:
     """Exact-rational stand-in for a floating behavior.
 
-    Entries other than Fractions are snapped to denominators <=
+    Float entries are snapped to denominators <=
     SNAP_DENOMINATOR (``_snap``) and each context renormalized exactly: its
     integer numerators over their total.  Contexts further than
     SIGNALING_ATOL from normalization are rejected.
@@ -350,7 +327,7 @@ def _snap_behavior(behavior: Behavior) -> tuple[Behavior, float]:
     snap_error = 0.0
     for ctx in scenario.contexts():
         rows = behavior.table[ctx]
-        pairs = [[v.as_integer_ratio() if isinstance(v, Fraction) else _snap(v) for v in row] for row in rows]
+        pairs = [[_snap(v) if isinstance(v, float) else v.as_integer_ratio() for v in row] for row in rows]
         den = math.lcm(*[q for row in pairs for _, q in row])
         nums = [[p * (den // q) for p, q in row] for row in pairs]
         total = sum([sum(row) for row in nums])
@@ -375,9 +352,10 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     weights summing to 1.  Solved in exact rational arithmetic; floating
     input is snapped first (see ``MembershipResult.tested``) and needs to be
     normalized only within the snap's tolerance.  A table validated before is
-    not checked again.  The certificate's value is read from the tested
-    table's integer view and its bound recomputed from
-    ``DeterministicStrategy.hits``; ``LocalDecomposition.to_behavior`` checks a decomposition.
+    not checked again.  Both proofs are checked on integers, entry by position: a decomposition's
+    weights over their lcm must be >= 0, sum to 1 and rebuild the tested table's integer view
+    (a table with no view is compared with ``LocalDecomposition.to_behavior()``); a certificate's
+    value is read from the view and its bound is its largest sum over one strategy's hits.
     """
     _require_two_by_two(behavior.scenario)
     if behavior.exact:
@@ -393,34 +371,30 @@ def local_membership(behavior: Behavior) -> MembershipResult:
         tested, snap_error = _snap_behavior(behavior)
     scenario = tested.scenario
     shape = (scenario.alice_outcomes, scenario.bob_outcomes)
-    strategies, entry_keys = _polytope(*shape)
-    matrix = _membership_matrix(*shape)
-    rhs = [v for ctx in scenario.contexts() for row in tested.table[ctx] for v in row]
-    rhs.append(Fraction(1))
+    strategies, entry_keys, hits = _polytope(*shape)
+    contexts, view = scenario.contexts(), tested._int_view()
+    values = [v for ctx in contexts for row in tested.table[ctx] for v in row]
+    # The tested entries in entry order over den: the view's numerators, else the entries.
+    den, entries = (view[0], [n for c in contexts for row in view[1][c] for n in row]) if view else (1, values)
 
     # The proof checks below guard the solver: they raise, never assert, so
     # an unproven verdict cannot escape under ``python -O`` either.
-    outcome = solve_equality_feasibility(matrix, rhs)
+    outcome = solve_equality_feasibility(_membership_matrix(*shape), values + [Fraction(1)])
     if outcome.solution is not None:
         # A list, not a generator: tuple(generator) allocates spare slots and
         # shrinks, and the shrunk tuple later idles in a per-size free list.
-        weights = tuple(
-            [
-                (strategy, weight)
-                for strategy, weight in zip(strategies, outcome.solution)
-                if weight
-            ]
-        )
+        weights = tuple([(s, w) for s, w in zip(strategies, outcome.solution) if w])
         decomposition = LocalDecomposition(scenario, weights)
-        try:
-            reproduced = decomposition.to_behavior() == tested
-        except MixtureError:
-            reproduced = False
+        if view:
+            reproduced = _mixes_to(outcome.solution, hits, den, entries)
+        else:
+            try:
+                reproduced = decomposition.to_behavior() == tested
+            except MixtureError:
+                reproduced = False
         if not reproduced:
-            raise BellboxError(
-                "local decomposition does not reproduce the tested behavior",
-                code="INTERNAL",
-            )
+            message = "local decomposition does not reproduce the tested behavior"
+            raise BellboxError(message, code="INTERNAL")
         return MembershipResult(True, decomposition, None, tested, snap_error)
 
     if outcome.certificate is None:
@@ -431,18 +405,32 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     coeffs = outcome.certificate[: len(entry_keys)]
     lcm = math.lcm(*[c.denominator for c in coeffs])
     gcd = math.gcd(*[c.numerator for c in coeffs]) or 1
-    coefficients = {
-        key: Fraction(c.numerator * (lcm // c.denominator) // gcd) for key, c in zip(entry_keys, coeffs) if c
-    }
-    value = _functional_value(coefficients, tested)
-    bound = _strategy_bound(coefficients, strategies)
-    if not value > bound:
-        raise BellboxError(
-            "separating functional does not separate the tested behavior",
-            code="INTERNAL",
-        )
-    certificate = InfeasibilityCertificate(scenario, coefficients, value, bound)
+    ints = [c.numerator * (lcm // c.denominator) // gcd for c in coeffs]
+    # The functional's value over den, and its bound: the most it takes on one strategy's hits.
+    value = sum([c * v for c, v in zip(ints, entries)])
+    bound = max([sum([ints[i] for i in hit]) for hit in hits])
+    if not value > bound * den:
+        message = "separating functional does not separate the tested behavior"
+        raise BellboxError(message, code="INTERNAL")
+    coefficients = {key: Fraction(c) for key, c in zip(entry_keys, ints) if c}
+    certificate = InfeasibilityCertificate(scenario, coefficients, Fraction(value, den), Fraction(bound))
     return MembershipResult(False, None, certificate, tested, snap_error)
+
+
+def _mixes_to(weights: Sequence[Prob], hits: Sequence[tuple], den: int, entries: list[int]) -> bool:
+    """Whether the weights, one per strategy, are >= 0, sum to 1 and mix the strategies into
+    the entries (integer numerators over ``den``): on the weights' numerators over their lcm,
+    each added to the one entry per context that its strategy hits."""
+    support = [(w.as_integer_ratio(), hit) for w, hit in zip(weights, hits) if w]
+    scale = math.lcm(*[q for (_, q), _ in support])
+    nums = [(p * (scale // q), hit) for (p, q), hit in support]
+    if any([n < 0 for n, _ in nums]) or sum([n for n, _ in nums]) != scale:
+        return False
+    mixed = [0] * len(entries)
+    for n, hit in nums:
+        for i in hit:
+            mixed[i] += n
+    return all([m * den == v * scale for m, v in zip(mixed, entries)])
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +475,8 @@ def classify(behavior: Behavior) -> AnalysisReport:
     )
     best, best_arrangement = chsh_max(behavior)
     residual = nosignaling_residual(behavior)
-    signaling = residual > 0 if behavior.exact else residual > SIGNALING_ATOL
+    # The residual is >= 0, so a truth test stands for ``> 0``; it costs no ABC instance check.
+    signaling = bool(residual) and (behavior.exact or residual > SIGNALING_ATOL)
     if signaling:
         return AnalysisReport(
             behavior,

@@ -36,7 +36,7 @@ from .models import (
     socks_off,
     socks_on,
 )
-from .scenario import PARTIES, Behavior, Prob, Scenario, printable
+from .scenario import PARTIES, Behavior, Prob, Scenario, exact_sum, printable
 
 FORMAT_VERSION = 1
 
@@ -192,16 +192,30 @@ def _label_text(value: str, noun: str) -> str:
 
 
 def _float_text(value: float) -> str:
-    """``repr(value)``, or ``UNREADABLE_VALUE`` for NaN and the infinities."""
-    if isinstance(value, float) and not math.isfinite(value):
+    """``repr(value)``, or ``UNREADABLE_VALUE`` for a value no finite float holds: NaN, the
+    infinities, or an integer too large for a float."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise _unreadable("number", value)
     return repr(value)
 
 
-def _fmt_prob(value: Prob) -> str:
-    if isinstance(value, Fraction):
-        return fraction_text(value)
-    return _float_text(value)
+def _exact_texts(values: tuple[Prob, ...], noun: str) -> list[str]:
+    """Literals of a model section, which the parser reads exactly: a float as the ``p/q`` of
+    its ``as_integer_ratio()``, so that it reads back as the same number.  Floats whose exact
+    values do not sum to 1 would not read back as a distribution: ``UNREADABLE_VALUE``."""
+    floats = [v for v in values if isinstance(v, float)]
+    if not floats:
+        return [fraction_text(v) for v in values]
+    for v in floats:
+        _float_text(v)  # NaN and the infinities raise
+    exact = [Fraction(v) for v in values]
+    if exact_sum(exact) != 1:
+        raise _unreadable(noun, values)
+    return [fraction_text(v) for v in exact]
 
 
 def serialize_document(document: ModelDocument) -> str:
@@ -261,7 +275,8 @@ def _serialize_behavior(behavior: Behavior) -> list[str]:
     for ctx, a, b, value in behavior.entries():
         x = scenario.alice_settings[ctx.alice]
         y = scenario.bob_settings[ctx.bob]
-        out.append(f"P({a},{b} | {x},{y}) = {_fmt_prob(value)}")
+        text = fraction_text(value) if isinstance(value, Fraction) else _float_text(value)
+        out.append(f"P({a},{b} | {x},{y}) = {text}")
     return out
 
 
@@ -272,15 +287,14 @@ def _serialize_causes(
 ) -> list[str]:
     out = []
     responses = (source.alice_response, source.bob_response)
-    for cause in source.causes:
-        out.append(f"cause {_label_text(cause.id, 'cause id')} weight {_fmt_prob(cause.weight)}")
+    weights = _exact_texts(tuple([cause.weight for cause in source.causes]), "cause weights")
+    for cause, weight in zip(source.causes, weights):
+        out.append(f"cause {_label_text(cause.id, 'cause id')} weight {weight}")
         for party, response, answered in zip(("alice", "bob"), responses, settings):
             labels = scenario.settings(party)  # type: ignore[arg-type]
             for setting in answered:
-                row = response.outcome_probs(setting, cause.id)
-                out.append(
-                    f"respond {party} {labels[setting]} -> " + " ".join(_fmt_prob(v) for v in row)
-                )
+                row = _exact_texts(response.outcome_probs(setting, cause.id), "response row")
+                out.append(f"respond {party} {labels[setting]} -> " + " ".join(row))
     return out
 
 

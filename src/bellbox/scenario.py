@@ -31,7 +31,8 @@ _VIEW_BITS = 1 << 22
 
 def is_exact(value: Prob) -> bool:
     """True when ``value`` participates in exact-rational arithmetic."""
-    return isinstance(value, (Fraction, int))
+    # A float is never one; testing it first skips ``Fraction``'s ABC instance check.
+    return not isinstance(value, float) and isinstance(value, (Fraction, int))
 
 
 _ONE = Fraction(1)
@@ -49,7 +50,8 @@ def exact_sum(values: Iterable[Prob]) -> Prob:
     num, den = 0, 1  # the exact running sum num/den, not reduced
     values = iter(values)
     for value in values:
-        if isinstance(value, (int, Fraction)):
+        # A float is tested first: it skips ``Fraction``'s ABC instance check.
+        if not isinstance(value, float) and isinstance(value, (int, Fraction)):
             p, q = value.numerator, value.denominator
             if q == den:
                 num += p
@@ -95,7 +97,7 @@ def sums_to_one(total: Prob) -> bool:
 
     A NaN float total passes; callers that must reject it check first.
     """
-    return total == 1 if isinstance(total, Fraction) else not abs(total - 1) > FLOAT_ATOL
+    return not abs(total - 1) > FLOAT_ATOL if isinstance(total, float) else total == 1
 
 
 class SealedDict(dict):

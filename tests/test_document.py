@@ -375,6 +375,49 @@ class TestRoundTrip:
         doc = ModelDocument(STANDARD_SCENARIO, behavior=Behavior(STANDARD_SCENARIO, table))
         _assert_unreadable(doc, repr(str(value)))
 
+    def test_float_model_values_read_back_exactly(self):
+        # A model section is read exactly, so its floats are written as the p/q of their
+        # as_integer_ratio(): they read back with no diagnostic and equal.
+        model = socks_on()
+        first = model.causes[0].id
+        causes = tuple(
+            dataclasses.replace(c, weight=w) for c, w in zip(model.causes, (0.125, 0.375, 0.25, 0.25))
+        )
+        alice = ResponseFunction("alice", {**model.alice_response.table, (0, first): (0.5, 0.5)})
+        floats = dataclasses.replace(model, causes=causes, alice_response=alice)
+        validate_model(floats)
+        doc = ModelDocument(model.scenario, noncontextual=floats)
+        text = serialize_document(doc)
+        assert f"cause {first} weight 1/8\nrespond alice A -> 1/2 1/2\n" in text
+        result = parse_document(text)
+        assert result.diagnostics == []
+        assert result.document == doc
+        assert serialize_document(result.document) == text
+
+    def test_float_weights_normalized_only_as_floats_are_refused(self):
+        # 0.1 and 0.4 are 3602879701896397 / 2**55 and 3602879701896397 / 2**53, so with
+        # 1/8 and 3/8 the exact weights sum to 1 + 2**-55, which the reader refuses.
+        model = socks_on()
+        causes = tuple(
+            dataclasses.replace(c, weight=w) for c, w in zip(model.causes, (0.125, 0.375, 0.1, 0.4))
+        )
+        floats = dataclasses.replace(model, causes=causes)
+        validate_model(floats)  # normalized within FLOAT_ATOL
+        _assert_unreadable(ModelDocument(model.scenario, noncontextual=floats), "cause weights")
+
+    def test_float_row_normalized_only_as_floats_is_refused(self):
+        model = socks_on()
+        row = {(1, model.causes[2].id): (0.1, 0.9)}
+        floats = dataclasses.replace(
+            model, bob_response=ResponseFunction("bob", {**model.bob_response.table, **row})
+        )
+        validate_model(floats)
+        _assert_unreadable(ModelDocument(model.scenario, noncontextual=floats), "response row")
+
+    def test_singlet_angle_too_large_for_a_float_is_refused(self):
+        doc = ModelDocument(STANDARD_SCENARIO, singlet=SingletSpec((0.0, 10**400), (45.0, 135.0)))
+        _assert_unreadable(doc, "'1" + "0" * 400 + "'")
+
     def test_contexts_canonicalized_in_order(self):
         doc = builtin_document("socks-off")
         text = serialize_document(doc)

@@ -14,6 +14,7 @@ import pytest
 
 import bellbox
 import bellbox.analysis as analysis
+import bellbox.scenario as scenario
 from bellbox import BellboxError, exact_behavior, local_membership, socks_off, socks_on
 from bellbox.cli import run_cli
 from bellbox.simplex import FeasibilityOutcome
@@ -27,6 +28,27 @@ def _solver_returning(outcome):
     return lambda matrix, rhs: outcome
 
 
+def _honest_weights(model):
+    """The honest solver's weight for each strategy, in strategy order."""
+    result = local_membership(exact_behavior(model()))
+    weights = dict(result.decomposition.weights)
+    return [weights.get(s, F(0)) for s in analysis.enumerate_strategies(result.tested.scenario)]
+
+
+HONEST = _honest_weights(socks_on)
+USED = [k for k, w in enumerate(HONEST) if w]  # socks-on mixes four strategies
+UNUSED = HONEST.index(0)
+EPS = F(1, 10**9)
+
+
+def _changed(changes):
+    """socks-on's honest weights plus ``{strategy index: change}``, as a solver outcome."""
+    weights = list(HONEST)
+    for k, change in changes.items():
+        weights[k] += change
+    return FeasibilityOutcome(tuple(weights), None)
+
+
 BOGUS = {
     # Strategy 0 alone does not reproduce socks-on.
     "wrong solution": (socks_on, FeasibilityOutcome((F(1),) + (F(0),) * 15, None)),
@@ -35,6 +57,15 @@ BOGUS = {
     # The all-ones functional equals its local bound on every behavior.
     "bogus certificate": (socks_off, FeasibilityOutcome(None, (F(1),) * ROWS)),
     "neither": (socks_off, FeasibilityOutcome(None, None)),
+    # Non-negative and summing to 1, but 1/10^9 moved between two strategies: a wrong table.
+    "weight moved": (socks_on, _changed({USED[0]: EPS, USED[1]: -EPS})),
+    # The honest table's weights, summing to 1 + 1/10^9.
+    "weights over one": (socks_on, _changed({USED[0]: EPS})),
+    # A zero-weight strategy carries the weight of one the table needs.
+    "unused strategy": (socks_on, _changed({USED[0]: -HONEST[USED[0]], UNUSED: HONEST[USED[0]]})),
+    # The right table and a sum of 1, but from an affine combination, not a convex one: for any
+    # one Bob strategy, Alice's (1,1) and (2,2) give the same table as her (1,2) and (2,1).
+    "affine weights": (socks_on, _changed({0: F(1), 12: F(1), 4: F(-1), 8: F(-1)})),
 }
 
 
@@ -44,6 +75,20 @@ def test_unproven_verdict_raises_internal(monkeypatch, case):
     monkeypatch.setattr(analysis, "solve_equality_feasibility", _solver_returning(outcome))
     with pytest.raises(BellboxError) as exc:
         local_membership(exact_behavior(model()))
+    assert exc.value.code == "INTERNAL"
+
+
+@pytest.mark.parametrize("case", sorted(BOGUS))
+def test_unproven_verdict_raises_internal_without_an_integer_view(monkeypatch, case):
+    # A table past the view's size bound has its decomposition checked through
+    # LocalDecomposition.to_behavior, not on integers.
+    monkeypatch.setattr(scenario, "_VIEW_BITS", 0)
+    model, outcome = BOGUS[case]
+    monkeypatch.setattr(analysis, "solve_equality_feasibility", _solver_returning(outcome))
+    behavior = exact_behavior(model())
+    assert not behavior._int_view()
+    with pytest.raises(BellboxError) as exc:
+        local_membership(behavior)
     assert exc.value.code == "INTERNAL"
 
 

@@ -2,8 +2,8 @@
 
 Parsing is total: malformed input produces :class:`ParseDiagnostic` entries
 with line and column positions, never an exception.  Each cause weight and
-response row is checked once, as it is read, and a parsed model keeps the
-terms so checked.
+response row is checked once, on integer numerators, as it is read, and a
+parsed model keeps the terms so checked.
 
 Probability literals are rationals ``p/q`` or decimals.  In the default
 exact mode a decimal is converted to a rational with denominator at most

@@ -418,16 +418,17 @@ def local_membership(behavior: Behavior) -> MembershipResult:
 
 
 def _mixes_to(weights: Sequence[Prob], hits: Sequence[tuple], den: int, entries: list[int]) -> bool:
-    """Whether the weights, one per strategy, are >= 0, sum to 1 and mix the strategies into
-    the entries (integer numerators over ``den``): on the weights' numerators over their lcm,
-    each added to the one entry per context that its strategy hits."""
+    """Whether the weights, one per strategy, are >= 0 and mix the strategies into the entries
+    (integer numerators over ``den``): each weight's numerator over the weights' lcm goes to the
+    one entry per context that its strategy hits.  Each context of the entries sums to 1, so
+    weights that pass sum to 1 as well."""
     support = [(w.as_integer_ratio(), hit) for w, hit in zip(weights, hits) if w]
     scale = math.lcm(*[q for (_, q), _ in support])
-    nums = [(p * (scale // q), hit) for (p, q), hit in support]
-    if any([n < 0 for n, _ in nums]) or sum([n for n, _ in nums]) != scale:
-        return False
     mixed = [0] * len(entries)
-    for n, hit in nums:
+    for (p, q), hit in support:
+        n = p * (scale // q)
+        if n < 0:
+            return False
         for i in hit:
             mixed[i] += n
     return all([m * den == v * scale for m, v in zip(mixed, entries)])

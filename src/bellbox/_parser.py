@@ -42,7 +42,7 @@ _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
 class _DocParser:
     def __init__(self, text: str) -> None:
         self.diags: list[ParseDiagnostic] = []
-        self.errors = 0  # of self.diags
+        self.errors = 0  # how many of self.diags are errors
         self.lines = text.splitlines()
         self.exact_literals: dict[str, Fraction] = {}  # token -> value, this parse only
         self.labels: set[str] = set()  # labels ``_LABEL_RE`` accepted, this parse only
@@ -72,9 +72,6 @@ class _DocParser:
     def error_at_head(self, line: int, text: str, message: str) -> None:
         """An error at the first token of a line, naming it."""
         self.error(line, (text, 0), message, text.split()[0])
-
-    def has_errors(self) -> bool:
-        return self.errors > 0
 
     # -- numeric literals ---------------------------------------------------
 
@@ -142,7 +139,7 @@ class _DocParser:
 def parse(text: str) -> ParseResult:
     p = _DocParser(text)
     sections = _split_sections(p)
-    if sections is None or p.has_errors():
+    if sections is None or p.errors:
         return ParseResult(None, p.diags)
 
     entries = _key_values(p, sections.get("metadata", []), ("name", "description"), "metadata")
@@ -164,7 +161,7 @@ def parse(text: str) -> ParseResult:
         )
         return ParseResult(None, p.diags)
 
-    if scenario is None or p.has_errors():
+    if scenario is None or p.errors:
         return ParseResult(None, p.diags)
 
     kind = present[0]
@@ -175,7 +172,7 @@ def parse(text: str) -> ParseResult:
         "singlet": _build_singlet,
     }
     payload = builders[kind](p, scenario, sections[kind])
-    if payload is None or p.has_errors():
+    if payload is None or p.errors:
         return ParseResult(None, p.diags)
 
     document = ModelDocument(
@@ -316,7 +313,7 @@ def _build_scenario(p: _DocParser, lines: list[_Line]) -> Scenario | None:
         else:
             counts[party] = tuple(parsed)
 
-    if p.has_errors() or "alice" not in settings or "bob" not in settings:
+    if p.errors or "alice" not in settings or "bob" not in settings:
         return None
     cells = sum(counts["alice"]) * sum(counts["bob"])
     if cells > MAX_TABLE_CELLS:
@@ -412,7 +409,7 @@ def _build_behavior(
         cells[key] = value
         cell_pos.setdefault(ctx, (line_no, 1))
 
-    if p.has_errors():
+    if p.errors:
         return None
 
     zero: Prob = 0.0 if as_float else Fraction(0)
@@ -442,7 +439,7 @@ def _build_behavior(
                 f"sum to {printable(total)}",
             )
         table[ctx] = tuple(tuple(row) for row in grid)
-    if p.has_errors():
+    if p.errors:
         return None
     return Behavior(scenario, table)
 
@@ -549,7 +546,7 @@ class _CauseAccumulator:
                         if (setting, cause_id) not in rows[party]:
                             message = f"SYNTAX: cause {cause_id} has no response for {party}"
                             self.p.error(cause_line, 1, f"{message} setting {label}")
-        if self.p.has_errors():
+        if self.p.errors:
             return None
         # A list, not a generator: tuple(generator) allocates spare slots and
         # shrinks, and the shrunk tuple later idles in a per-size free list.
@@ -638,7 +635,7 @@ def _build_contextual(
                 1,
                 f"SYNTAX: missing block for context {ctx.label(scenario)}",
             )
-    if p.has_errors():
+    if p.errors:
         return None
     return _checked(ContextualModel(scenario, blocks))
 
@@ -680,6 +677,6 @@ def _build_singlet(
                 1,
                 f"SYNTAX: {key} needs exactly {expected} angles",
             )
-    if p.has_errors():
+    if p.errors:
         return None
     return SingletSpec(angles["alice_angles_deg"], angles["bob_angles_deg"])

@@ -252,8 +252,8 @@ class InfeasibilityCertificate:
 
     def evaluate(self, behavior: Behavior) -> Prob:
         """Sum of coefficient times entry over the entries, in entry order."""
-        coefficients = self.coefficients
-        return exact_sum([c * v for ctx, a, b, v in behavior.entries() if (c := coefficients.get((ctx, a, b), 0)) != 0])
+        pairs = [(self.coefficients.get((ctx, a, b), 0), v) for ctx, a, b, v in behavior.entries()]
+        return exact_sum([c * v for c, v in pairs if c != 0])
 
     def strategy_bound(self) -> Fraction:
         """The functional's maximum over the deterministic strategies."""
@@ -353,9 +353,10 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     input is snapped first (see ``MembershipResult.tested``) and needs to be
     normalized only within the snap's tolerance.  A table validated before is
     not checked again.  Both proofs are checked on integers, entry by position: a decomposition's
-    weights over their lcm must be >= 0, sum to 1 and rebuild the tested table's integer view
-    (a table with no view is compared with ``LocalDecomposition.to_behavior()``); a certificate's
-    value is read from the view and its bound is its largest sum over one strategy's hits.
+    weights over their lcm must be >= 0 and rebuild the tested table's integer view, so they sum
+    to 1 (a table with no view is compared with ``LocalDecomposition.to_behavior()``); a
+    certificate's value is read from the view and its bound is its largest sum over one
+    strategy's hits.
     """
     _require_two_by_two(behavior.scenario)
     if behavior.exact:

@@ -207,11 +207,12 @@ def _exact_texts(values: tuple[Prob, ...], noun: str) -> list[str]:
     """Literals of a model section, which the parser reads exactly: a float as the ``p/q`` of
     its ``as_integer_ratio()``, so that it reads back as the same number.  Floats whose exact
     values do not sum to 1 would not read back as a distribution: ``UNREADABLE_VALUE``."""
-    floats = [v for v in values if isinstance(v, float)]
-    if not floats:
-        return [fraction_text(v) for v in values]
-    for v in floats:
-        _float_text(v)  # NaN and the infinities raise
+    texts = [None if isinstance(v, float) else fraction_text(v) for v in values]
+    if None not in texts:
+        return texts
+    for v in values:
+        if isinstance(v, float):
+            _float_text(v)  # NaN and the infinities raise
     exact = [Fraction(v) for v in values]
     if exact_sum(exact) != 1:
         raise _unreadable(noun, values)

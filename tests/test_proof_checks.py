@@ -63,8 +63,9 @@ BOGUS = {
     "weights over one": (socks_on, _changed({USED[0]: EPS})),
     # A zero-weight strategy carries the weight of one the table needs.
     "unused strategy": (socks_on, _changed({USED[0]: -HONEST[USED[0]], UNUSED: HONEST[USED[0]]})),
-    # The right table and a sum of 1, but from an affine combination, not a convex one: for any
-    # one Bob strategy, Alice's (1,1) and (2,2) give the same table as her (1,2) and (2,1).
+    # The right table and a sum of 1, but from an affine combination, not a convex one.
+    # Strategies 0, 12, 4 and 8 pair Bob's first strategy with Alice's (1,1), (2,2), (1,2)
+    # and (2,1); the first two together give the same table as the last two.
     "affine weights": (socks_on, _changed({0: F(1), 12: F(1), 4: F(-1), 8: F(-1)})),
 }
 

@@ -59,7 +59,7 @@ BOGUS = {
     "neither": (socks_off, FeasibilityOutcome(None, None)),
     # Non-negative and summing to 1, but 1/10^9 moved between two strategies: a wrong table.
     "weight moved": (socks_on, _changed({USED[0]: EPS, USED[1]: -EPS})),
-    # The honest table's weights, summing to 1 + 1/10^9.
+    # The honest weights with 1/10^9 added to one of them: they sum to 1 + 1/10^9.
     "weights over one": (socks_on, _changed({USED[0]: EPS})),
     # A zero-weight strategy carries the weight of one the table needs.
     "unused strategy": (socks_on, _changed({USED[0]: -HONEST[USED[0]], UNUSED: HONEST[USED[0]]})),

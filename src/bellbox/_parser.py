@@ -78,8 +78,12 @@ class _DocParser:
     def parse_int(self, token: str, line: int, column: int | tuple) -> int | None:
         """Digits with an optional sign; None (with a diagnostic) when too long."""
         if len(token.lstrip("+-")) > MAX_LITERAL_DIGITS:
-            message = f"SYNTAX: integer literal longer than {MAX_LITERAL_DIGITS} digits"
-            self.error(line, column, message, token[:40] + "...")
+            self.error(
+                line,
+                column,
+                f"SYNTAX: integer literal longer than {MAX_LITERAL_DIGITS} digits",
+                token[:40] + "...",
+            )
             return None
         return int(token)
 
@@ -122,7 +126,12 @@ class _DocParser:
             if as_float:
                 return value
             snapped = Fraction(value).limit_denominator(DECIMAL_DENOMINATOR)
-            self.note(line, column, f"decimal literal converted to rational {snapped}", token)
+            self.note(
+                line,
+                column,
+                f"decimal literal converted to rational {snapped}",
+                token,
+            )
             return snapped
         self.error(line, column, f"SYNTAX: expected {noun}", token)
         return None
@@ -503,13 +512,11 @@ class _CauseAccumulator:
                 self.p.error(line_no, (text, 2), message, label)
             return
         setting, count, rows = answer
-        literals, row = self.p.exact_literals, []
+        row: list[Fraction] = []
         for k in range(4, len(tokens)):
-            value = literals.get(tokens[k])
+            value = self.p.parse_probability(tokens[k], line_no, (text, k), as_float=False)
             if value is None:
-                value = self.p.parse_probability(tokens[k], line_no, (text, k), as_float=False)
-                if value is None:
-                    return
+                return
             row.append(value)
         if len(row) != count:
             message = f"SYNTAX: {party} setting {label} needs {count} probabilities"
@@ -521,8 +528,12 @@ class _CauseAccumulator:
             return
         cause_id = self.causes[-1][0]
         if (setting, cause_id) in rows:
-            message = f"SYNTAX: duplicate response for {party} setting {label}"
-            self.p.error(line_no, (text, 2), f"{message} under cause {cause_id}")
+            self.p.error(
+                line_no,
+                (text, 2),
+                f"SYNTAX: duplicate response for {party} setting {label} "
+                f"under cause {cause_id}",
+            )
             return
         rows[(setting, cause_id)] = tuple(row)
 
@@ -544,8 +555,12 @@ class _CauseAccumulator:
                 for party, answers in self.answers.items():
                     for label, (setting, _, _) in answers.items():
                         if (setting, cause_id) not in rows[party]:
-                            message = f"SYNTAX: cause {cause_id} has no response for {party}"
-                            self.p.error(cause_line, 1, f"{message} setting {label}")
+                            self.p.error(
+                                cause_line,
+                                1,
+                                f"SYNTAX: cause {cause_id} has no response for "
+                                f"{party} setting {label}",
+                            )
         if self.p.errors:
             return None
         # A list, not a generator: tuple(generator) allocates spare slots and

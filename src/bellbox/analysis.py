@@ -353,10 +353,9 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     input is snapped first (see ``MembershipResult.tested``) and needs to be
     normalized only within the snap's tolerance.  A table validated before is
     not checked again.  Both proofs are checked on integers, entry by position: a decomposition's
-    weights over their lcm must be >= 0 and rebuild the tested table's integer view, so they sum
-    to 1 (a table with no view is compared with ``LocalDecomposition.to_behavior()``); a
-    certificate's value is read from the view and its bound is its largest sum over one
-    strategy's hits.
+    weights over their lcm must be >= 0 and rebuild the tested table's integer view (its entries,
+    over 1, when it has no view), so they sum to 1; a certificate's value is read from the same
+    entries and its bound is its largest sum over one strategy's hits.
     """
     _require_two_by_two(behavior.scenario)
     if behavior.exact:
@@ -384,18 +383,19 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     if outcome.solution is not None:
         # A list, not a generator: tuple(generator) allocates spare slots and
         # shrinks, and the shrunk tuple later idles in a per-size free list.
-        weights = tuple([(s, w) for s, w in zip(strategies, outcome.solution) if w])
+        weights = tuple(
+            [
+                (strategy, weight)
+                for strategy, weight in zip(strategies, outcome.solution)
+                if weight
+            ]
+        )
         decomposition = LocalDecomposition(scenario, weights)
-        if view:
-            reproduced = _mixes_to(outcome.solution, hits, den, entries)
-        else:
-            try:
-                reproduced = decomposition.to_behavior() == tested
-            except MixtureError:
-                reproduced = False
-        if not reproduced:
-            message = "local decomposition does not reproduce the tested behavior"
-            raise BellboxError(message, code="INTERNAL")
+        if not _mixes_to(outcome.solution, hits, den, entries):
+            raise BellboxError(
+                "local decomposition does not reproduce the tested behavior",
+                code="INTERNAL",
+            )
         return MembershipResult(True, decomposition, None, tested, snap_error)
 
     if outcome.certificate is None:
@@ -411,18 +411,20 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     value = sum([c * v for c, v in zip(ints, entries)])
     bound = max([sum([ints[i] for i in hit]) for hit in hits])
     if not value > bound * den:
-        message = "separating functional does not separate the tested behavior"
-        raise BellboxError(message, code="INTERNAL")
+        raise BellboxError(
+            "separating functional does not separate the tested behavior",
+            code="INTERNAL",
+        )
     coefficients = {key: Fraction(c) for key, c in zip(entry_keys, ints) if c}
     certificate = InfeasibilityCertificate(scenario, coefficients, Fraction(value, den), Fraction(bound))
     return MembershipResult(False, None, certificate, tested, snap_error)
 
 
-def _mixes_to(weights: Sequence[Prob], hits: Sequence[tuple], den: int, entries: list[int]) -> bool:
+def _mixes_to(weights: Sequence[Prob], hits: Sequence[tuple], den: int, entries: list) -> bool:
     """Whether the weights, one per strategy, are >= 0 and mix the strategies into the entries
-    (integer numerators over ``den``): each weight's numerator over the weights' lcm goes to the
-    one entry per context that its strategy hits.  Each context of the entries sums to 1, so
-    weights that pass sum to 1 as well."""
+    (numerators over ``den``: integers, or the exact entries over 1): each weight's numerator
+    over the weights' lcm goes to the one entry per context that its strategy hits.  Each
+    context of the entries sums to 1, so weights that pass sum to 1 as well."""
     support = [(w.as_integer_ratio(), hit) for w, hit in zip(weights, hits) if w]
     scale = math.lcm(*[q for (_, q), _ in support])
     mixed = [0] * len(entries)

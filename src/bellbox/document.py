@@ -203,20 +203,17 @@ def _float_text(value: float) -> str:
     return repr(value)
 
 
-def _exact_texts(values: tuple[Prob, ...], noun: str) -> list[str]:
-    """Literals of a model section, which the parser reads exactly: a float as the ``p/q`` of
-    its ``as_integer_ratio()``, so that it reads back as the same number.  Floats whose exact
-    values do not sum to 1 would not read back as a distribution: ``UNREADABLE_VALUE``."""
+def _exact_texts(values: tuple[Prob, ...]) -> list[str]:
+    """Literals of a model section, which the parser reads exactly.  Floats whose exact values
+    sum to 1 with the others are written as the ``p/q`` of their ``as_integer_ratio()``, so
+    they read back as the same numbers; other floats by ``repr``, read back as decimals."""
     texts = [None if isinstance(v, float) else fraction_text(v) for v in values]
-    if None not in texts:
-        return texts
-    for v in values:
-        if isinstance(v, float):
-            _float_text(v)  # NaN and the infinities raise
-    exact = [Fraction(v) for v in values]
-    if exact_sum(exact) != 1:
-        raise _unreadable(noun, values)
-    return [fraction_text(v) for v in exact]
+    if None in texts:
+        texts = [t or _float_text(v) for t, v in zip(texts, values)]  # NaN and the infinities raise
+        exact = [Fraction(v) for v in values]
+        if exact_sum(exact) == 1:
+            texts = [fraction_text(v) for v in exact]
+    return texts
 
 
 def serialize_document(document: ModelDocument) -> str:
@@ -288,13 +285,13 @@ def _serialize_causes(
 ) -> list[str]:
     out = []
     responses = (source.alice_response, source.bob_response)
-    weights = _exact_texts(tuple([cause.weight for cause in source.causes]), "cause weights")
+    weights = _exact_texts(tuple([cause.weight for cause in source.causes]))
     for cause, weight in zip(source.causes, weights):
         out.append(f"cause {_label_text(cause.id, 'cause id')} weight {weight}")
         for party, response, answered in zip(("alice", "bob"), responses, settings):
             labels = scenario.settings(party)  # type: ignore[arg-type]
             for setting in answered:
-                row = _exact_texts(response.outcome_probs(setting, cause.id), "response row")
+                row = _exact_texts(response.outcome_probs(setting, cause.id))
                 out.append(f"respond {party} {labels[setting]} -> " + " ".join(row))
     return out
 

@@ -394,25 +394,38 @@ class TestRoundTrip:
         assert result.document == doc
         assert serialize_document(result.document) == text
 
-    def test_float_weights_normalized_only_as_floats_are_refused(self):
+    def test_float_weights_normalized_only_as_floats_keep_repr(self):
         # 0.1 and 0.4 are 3602879701896397 / 2**55 and 3602879701896397 / 2**53, so with
-        # 1/8 and 3/8 the exact weights sum to 1 + 2**-55, which the reader refuses.
+        # 1/8 and 3/8 the exact weights sum to 1 + 2**-55, which the reader would refuse.
+        # They are written by repr instead and read back as decimals, with a NOTE each.
         model = socks_on()
         causes = tuple(
             dataclasses.replace(c, weight=w) for c, w in zip(model.causes, (0.125, 0.375, 0.1, 0.4))
         )
         floats = dataclasses.replace(model, causes=causes)
         validate_model(floats)  # normalized within FLOAT_ATOL
-        _assert_unreadable(ModelDocument(model.scenario, noncontextual=floats), "cause weights")
+        text = serialize_document(ModelDocument(model.scenario, noncontextual=floats))
+        assert f"cause {causes[2].id} weight 0.1\n" in text
+        result = parse_document(text)
+        assert [d.severity for d in result.diagnostics] == ["note"] * 4
+        read = result.document.noncontextual
+        assert [c.weight for c in read.causes] == [F(1, 8), F(3, 8), F(1, 10), F(2, 5)]
 
-    def test_float_row_normalized_only_as_floats_is_refused(self):
+    def test_float_row_normalized_only_as_floats_keeps_repr(self):
         model = socks_on()
         row = {(1, model.causes[2].id): (0.1, 0.9)}
         floats = dataclasses.replace(
             model, bob_response=ResponseFunction("bob", {**model.bob_response.table, **row})
         )
         validate_model(floats)
-        _assert_unreadable(ModelDocument(model.scenario, noncontextual=floats), "response row")
+        text = serialize_document(ModelDocument(model.scenario, noncontextual=floats))
+        assert "-> 0.1 0.9\n" in text
+        result = parse_document(text)
+        assert [d.severity for d in result.diagnostics] == ["note"] * 2
+        assert result.document.noncontextual.bob_response.outcome_probs(1, model.causes[2].id) == (
+            F(1, 10),
+            F(9, 10),
+        )
 
     def test_singlet_angle_too_large_for_a_float_is_refused(self):
         doc = ModelDocument(STANDARD_SCENARIO, singlet=SingletSpec((0.0, 10**400), (45.0, 135.0)))

@@ -81,8 +81,8 @@ def test_unproven_verdict_raises_internal(monkeypatch, case):
 
 @pytest.mark.parametrize("case", sorted(BOGUS))
 def test_unproven_verdict_raises_internal_without_an_integer_view(monkeypatch, case):
-    # A table past the view's size bound has its decomposition checked through
-    # LocalDecomposition.to_behavior, not on integers.
+    # A table past the view's size bound has its decomposition checked against its
+    # Fraction entries over 1, not against integer numerators.
     monkeypatch.setattr(scenario, "_VIEW_BITS", 0)
     model, outcome = BOGUS[case]
     monkeypatch.setattr(analysis, "solve_equality_feasibility", _solver_returning(outcome))

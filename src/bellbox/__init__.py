@@ -61,8 +61,6 @@ _EXPORTS = {
         "condition_on_cause",
         "deterministic_row",
         "exact_behavior",
-        "exact_behavior_contextual",
-        "exact_behavior_noncontextual",
         "random_noncontextual_model",
         "singlet_behavior",
         "singlet_optimal_directions",

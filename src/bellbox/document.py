@@ -192,15 +192,16 @@ def _label_text(value: str, noun: str) -> str:
 
 
 def _float_text(value: float) -> str:
-    """``repr(value)``, or ``UNREADABLE_VALUE`` for a value no finite float holds: NaN, the
-    infinities, or an integer too large for a float."""
+    """Text that reads back as a float equal to ``value``: ``repr`` of an int, else of the
+    float.  A value no finite float equals raises ``UNREADABLE_VALUE``: NaN, the infinities,
+    an integer too large for a float or between two floats, or a rational such as 1/3."""
     try:
-        finite = math.isfinite(value)
+        number = float(value)
     except OverflowError:
-        finite = False
-    if not finite:
+        number = math.inf
+    if not math.isfinite(number) or number != value:
         raise _unreadable("number", value)
-    return repr(value)
+    return repr(value if type(value) is int else number)
 
 
 def _exact_texts(values: tuple[Prob, ...]) -> list[str]:

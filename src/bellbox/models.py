@@ -19,7 +19,11 @@ keeps once checked.
 The canonical instances model a subject carrying two pocket handkerchiefs
 that always share one color (pink half the time) and a pair of socks of
 which exactly one is pink.  Alice questions the left side of the subject,
-Bob the right; see each builder for its question semantics.
+Bob the right.  The three share one wardrobe and one question table per
+question kind (``_MATCH``, ``_COLOR``) and differ only in when the causes
+are fixed: :func:`socks_on` fixes them before any question is asked, while
+:func:`socks_off` and :func:`socks_color` let each context's joint question
+actualize its own (``_ACTUALIZED``).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import ModelError
 from .scenario import (
@@ -256,24 +260,10 @@ def validate_model(model: Model) -> Model:
     return model
 
 
-# Both take a model of either family, as ``exact_behavior_*`` do.
-validate_noncontextual = validate_contextual = validate_model
-
-
 def _product_grid(
     alice_row: tuple[Prob, ...], bob_row: tuple[Prob, ...]
 ) -> tuple[tuple[Prob, ...], ...]:
     return tuple(tuple(pa * pb for pb in bob_row) for pa in alice_row)
-
-
-def exact_behavior_noncontextual(model: NonContextualModel) -> Behavior:
-    """Cause-weighted mixture of per-cause product tables; exact on exact input."""
-    return exact_behavior(model)
-
-
-def exact_behavior_contextual(model: ContextualModel) -> Behavior:
-    """Per-context cause mixtures; each context uses its own cause set."""
-    return exact_behavior(model)
 
 
 def exact_behavior(model: Model) -> Behavior:
@@ -382,17 +372,59 @@ def condition_on_cause(model: NonContextualModel, cause_id: str) -> Behavior:
 # Canonical instances
 # ---------------------------------------------------------------------------
 
-# Hidden states as (handkerchief pink?, pink sock on left foot?).
-_WARDROBE_STATES: tuple[tuple[str, bool, bool], ...] = (
+# A hidden state is (cause id, handkerchief pink?, pink sock on left foot?).
+_WARDROBE = (
     ("lambda1", True, True),
     ("lambda2", True, False),
     ("lambda3", False, False),
     ("lambda4", False, True),
 )
 
+# Per party, each setting's question as a predicate of a state's two facts; yes is
+# outcome 1.  The first setting asks whether that side's handkerchief is pink.
+_MATCH = (  # A', B': do that side's handkerchief and sock match (both pink or neither)?
+    {"A": lambda pink, left: pink, "A'": lambda pink, left: pink == left},
+    {"B": lambda pink, left: pink, "B'": lambda pink, left: pink != left},
+)
+_COLOR = (  # A'', B'': is that side's sock pink?
+    {"A": lambda pink, left: pink, "A''": lambda pink, left: left},
+    {"B": lambda pink, left: pink, "B''": lambda pink, left: not left},
+)
+
+# The causes each context's joint question actualizes, when the socks start in a
+# briefcase.  The handkerchief coin always acts; setting 1 is the sock question.
+_ACTUALIZED = {
+    Context(0, 0): (("mu1", True, None), ("mu2", False, None)),  # no sock question, none on
+    Context(1, 0): (("nu1", True, True), ("nu2", False, True)),  # pink sock pulled left
+    Context(0, 1): (("sigma1", True, False), ("sigma2", False, False)),  # pulled right
+    Context(1, 1): _WARDROBE,  # a fair attention coin picks the pink sock's foot
+}
+
+
+def _scenario(questions: tuple[dict, dict]) -> Scenario:
+    return Scenario.binary(tuple(questions[0]), tuple(questions[1]))
+
+
+def _dress(
+    states: Sequence[tuple], questions: tuple[dict, dict], xs: Sequence[int], ys: Sequence[int]
+) -> tuple:
+    """``(causes, alice_response, bob_response)``: equal-weight causes, one per state, and
+    each party's deterministic answers to its settings ``xs``/``ys``."""
+    causes = tuple(Cause(name, Fraction(1, len(states))) for name, *_ in states)
+    responses = []
+    for party, asked, settings in zip(("alice", "bob"), questions, (xs, ys)):
+        ask = tuple(asked.values())
+        table = {
+            (s, name): deterministic_row(2, 1 if ask[s](*facts) else 2)
+            for name, *facts in states
+            for s in settings
+        }
+        responses.append(ResponseFunction(party, table))
+    return (causes, *responses)
+
 
 def socks_on() -> NonContextualModel:
-    """Four equal-weight hidden states fixed before any question is asked.
+    """Four equal-weight wardrobe states fixed before any question is asked.
 
     The subject dressed in the morning: the two handkerchiefs share a color
     (pink with probability 1/2) and the pink sock went on the left or right
@@ -401,53 +433,20 @@ def socks_on() -> NonContextualModel:
     match (both pink or both non-pink); ``B``/``B'`` ask the same on the
     right.  Outcome index 1 is the affirmative answer.
     """
-    scenario = Scenario.binary(("A", "A'"), ("B", "B'"))
-    causes = tuple(Cause(name, Fraction(1, 4)) for name, _, _ in _WARDROBE_STATES)
-    alice: dict[tuple[int, str], tuple[Prob, ...]] = {}
-    bob: dict[tuple[int, str], tuple[Prob, ...]] = {}
-    for name, hand_pink, pink_left in _WARDROBE_STATES:
-        pink_right = not pink_left
-        alice[(0, name)] = deterministic_row(2, 1 if hand_pink else 2)
-        alice[(1, name)] = deterministic_row(2, 1 if hand_pink == pink_left else 2)
-        bob[(0, name)] = deterministic_row(2, 1 if hand_pink else 2)
-        bob[(1, name)] = deterministic_row(2, 1 if hand_pink == pink_right else 2)
-    return NonContextualModel(
-        scenario,
-        causes,
-        ResponseFunction("alice", alice),
-        ResponseFunction("bob", bob),
-    )
+    return NonContextualModel(_scenario(_MATCH), *_dress(_WARDROBE, _MATCH, (0, 1), (0, 1)))
 
 
-def _block(
-    x: int,
-    y: int,
-    states: Sequence[tuple],
-    alice_outcome: Callable[..., int],
-    bob_outcome: Callable[..., int],
-) -> ContextBlock:
-    """Equal-weight causes, one per hidden state ``(name, *facts)``, in context (x, y).
-
-    Each party's answer is a deterministic outcome computed from the facts.
-    """
-    causes = tuple(Cause(name, Fraction(1, len(states))) for name, *_ in states)
-    alice: dict[tuple[int, str], tuple[Prob, ...]] = {}
-    bob: dict[tuple[int, str], tuple[Prob, ...]] = {}
-    for name, *facts in states:
-        alice[(x, name)] = deterministic_row(2, alice_outcome(*facts))
-        bob[(y, name)] = deterministic_row(2, bob_outcome(*facts))
-    return ContextBlock(
-        causes, ResponseFunction("alice", alice), ResponseFunction("bob", bob)
-    )
-
-
-def _hand_coin(prefix: str) -> tuple[tuple[str, bool], ...]:
-    """The handkerchief coin alone: one cause per color (pink first)."""
-    return ((f"{prefix}1", True), (f"{prefix}2", False))
+def _actualized(questions: tuple[dict, dict]) -> ContextualModel:
+    """One block per context, answering its questions on the causes it actualizes."""
+    blocks = {
+        ctx: ContextBlock(*_dress(states, questions, (ctx.alice,), (ctx.bob,)))
+        for ctx, states in _ACTUALIZED.items()
+    }
+    return ContextualModel(_scenario(questions), blocks)
 
 
 def socks_off() -> ContextualModel:
-    """Per-context causes actualized by the joint question itself.
+    """The ``socks_on`` questions, with causes actualized by the joint question itself.
 
     The subject starts with bare feet and both socks in a briefcase; a
     correlation question (``A'`` or ``B'``) makes them dress on the spot,
@@ -462,47 +461,14 @@ def socks_off() -> ContextualModel:
     The resulting behavior reaches the algebraic CHSH maximum of 4 while its
     marginals stay independent of the co-party setting.
     """
-    scenario = Scenario.binary(("A", "A'"), ("B", "B'"))
-
-    def hand(hand_pink: bool) -> int:
-        return 1 if hand_pink else 2
-
-    blocks = {
-        Context(0, 0): _block(0, 0, _hand_coin("mu"), hand, hand),
-        Context(1, 0): _block(
-            # Pink sock forced left: left sock pink, so A' asks hand == pink.
-            1,
-            0,
-            _hand_coin("nu"),
-            lambda hand_pink: 1 if hand_pink else 2,
-            hand,
-        ),
-        Context(0, 1): _block(
-            # Pink sock forced right: B' asks hand == pink on the right.
-            0,
-            1,
-            _hand_coin("sigma"),
-            hand,
-            lambda hand_pink: 1 if hand_pink else 2,
-        ),
-        Context(1, 1): _block(
-            1,
-            1,
-            _WARDROBE_STATES,
-            lambda hand_pink, pink_left: 1 if hand_pink == pink_left else 2,
-            lambda hand_pink, pink_left: 1 if hand_pink == (not pink_left) else 2,
-        ),
-    }
-    return ContextualModel(scenario, blocks)
+    return _actualized(_MATCH)
 
 
 def socks_color() -> ContextualModel:
     """Variant whose second settings ask for the sock color itself.
 
     ``A''`` asks whether the left sock is pink, ``B''`` whether the right
-    sock is pink.  A sock question from exactly one side pulls the pink sock
-    onto that side; sock questions from both sides trigger the fair
-    attention coin.  The handkerchief coin acts independently throughout.
+    sock is pink.  The causes are actualized as in ``socks_off``.
 
     Under these dynamics one party's sock-color statistics depend on whether
     the other party asked a sock question, so the marginal (no-signaling)
@@ -510,38 +476,7 @@ def socks_color() -> ContextualModel:
     sign arrangements is 2.  See the README for why this model is shipped
     with the signaling behavior reported as computed.
     """
-    scenario = Scenario.binary(("A", "A''"), ("B", "B''"))
-
-    def hand(hand_pink: bool) -> int:
-        return 1 if hand_pink else 2
-
-    blocks = {
-        Context(0, 0): _block(0, 0, _hand_coin("mu"), hand, hand),
-        Context(1, 0): _block(
-            # Alice's sock question pulls the pink sock left: A'' always pink.
-            1,
-            0,
-            _hand_coin("nu"),
-            lambda hand_pink: 1,
-            hand,
-        ),
-        Context(0, 1): _block(
-            # Bob's sock question pulls the pink sock right: B'' always pink.
-            0,
-            1,
-            _hand_coin("sigma"),
-            hand,
-            lambda hand_pink: 1,
-        ),
-        Context(1, 1): _block(
-            1,
-            1,
-            _WARDROBE_STATES,
-            lambda hand_pink, pink_left: 1 if pink_left else 2,
-            lambda hand_pink, pink_left: 2 if pink_left else 1,
-        ),
-    }
-    return ContextualModel(scenario, blocks)
+    return _actualized(_COLOR)
 
 
 # ---------------------------------------------------------------------------

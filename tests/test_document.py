@@ -363,7 +363,8 @@ class TestRoundTrip:
         doc = ModelDocument(scenario=model.scenario, noncontextual=renamed)
         _assert_unreadable(doc, "'lam 1'")
 
-    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    # No float equals 1/3 or 2**53 + 1: the one would not parse, the other would read back as 2**53.
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, F(1, 3), 2**53 + 1])
     def test_singlet_angle_that_would_not_read_back_is_refused(self, angle):
         doc = ModelDocument(STANDARD_SCENARIO, singlet=SingletSpec((0.0, angle), (45.0, 135.0)))
         _assert_unreadable(doc, repr(str(angle)))
@@ -430,6 +431,18 @@ class TestRoundTrip:
     def test_singlet_angle_too_large_for_a_float_is_refused(self):
         doc = ModelDocument(STANDARD_SCENARIO, singlet=SingletSpec((0.0, 10**400), (45.0, 135.0)))
         _assert_unreadable(doc, "'1" + "0" * 400 + "'")
+
+    @pytest.mark.parametrize(
+        "angle, text", [(F(90), "90.0"), (90, "90"), (2**53 + 2, "9007199254740994"), (0.1, "0.1")]
+    )
+    def test_singlet_angle_a_float_equals_reads_back_equal(self, angle, text):
+        # An int or a float keeps its repr; another number is written as the float it equals.
+        doc = ModelDocument(STANDARD_SCENARIO, singlet=SingletSpec((0.0, angle), (45.0, 135.0)))
+        written = serialize_document(doc)
+        assert f"alice_angles_deg = 0.0 {text}\n" in written
+        result = parse_document(written)
+        assert result.diagnostics == []
+        assert result.document == doc
 
     def test_contexts_canonicalized_in_order(self):
         doc = builtin_document("socks-off")

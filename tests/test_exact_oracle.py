@@ -270,10 +270,6 @@ def test_model_checks_and_exact_tables_match():
         model = _model(rng)
         _same(models.validate_model, oracle.validate_model, model)
         _same(models.exact_behavior, oracle.exact_behavior, model)
-        if isinstance(model, NonContextualModel):
-            _same(models.exact_behavior_noncontextual, oracle.exact_behavior_noncontextual, model)
-        else:
-            _same(models.exact_behavior_contextual, oracle.exact_behavior_contextual, model)
 
 
 def test_cause_and_row_checks_match():

@@ -19,8 +19,6 @@ from bellbox import (
     condition_on_cause,
     deterministic_row,
     exact_behavior,
-    exact_behavior_contextual,
-    exact_behavior_noncontextual,
     expectation,
     marginals,
     mix,
@@ -68,7 +66,7 @@ class TestSocksOn:
         assert all(c.weight == F(1, 4) for c in model.causes)
 
     def test_exact_behavior_matches_frozen_table(self):
-        b = exact_behavior_noncontextual(socks_on())
+        b = exact_behavior(socks_on())
         assert _as_plain_table(b) == SOCKS_ON_TABLE
         assert b.exact
 
@@ -139,7 +137,7 @@ class TestConditioning:
         mixed = mix(
             [(c.weight, condition_on_cause(model, c.id)) for c in model.causes]
         )
-        assert mixed == exact_behavior_noncontextual(model)
+        assert mixed == exact_behavior(model)
 
     def test_mixture_identity_random_models(self):
         rand = random.Random(2027)
@@ -148,7 +146,7 @@ class TestConditioning:
             mixed = mix(
                 [(c.weight, condition_on_cause(model, c.id)) for c in model.causes]
             )
-            assert mixed == exact_behavior_noncontextual(model)
+            assert mixed == exact_behavior(model)
 
 
 class TestDegenerateModels:
@@ -161,7 +159,7 @@ class TestDegenerateModels:
         bob = ResponseFunction(
             "bob", {(y, "only"): deterministic_row(2, 2) for y in range(2)}
         )
-        b = exact_behavior_noncontextual(
+        b = exact_behavior(
             NonContextualModel(scenario, causes, alice, bob)
         )
         for ctx in scenario.contexts():
@@ -186,7 +184,7 @@ class TestDegenerateModels:
                 "bob", {(y, c): row for y in range(2) for c in ("c1", "c2")}
             ),
         )
-        assert exact_behavior_noncontextual(single) == exact_behavior_noncontextual(
+        assert exact_behavior(single) == exact_behavior(
             double
         )
 
@@ -200,7 +198,7 @@ class TestDegenerateModels:
             "bob", {(y, "c1"): deterministic_row(2, 1) for y in range(2)}
         )
         with pytest.raises(ModelError) as exc:
-            exact_behavior_noncontextual(
+            exact_behavior(
                 NonContextualModel(scenario, causes, alice, bob)
             )
         assert exc.value.code == "MODEL_INVALID"
@@ -236,14 +234,14 @@ class TestDegenerateModels:
             "bob", {(y, "c1"): deterministic_row(2, 1) for y in range(2)}
         )
         with pytest.raises(ModelError):
-            exact_behavior_noncontextual(
+            exact_behavior(
                 NonContextualModel(scenario, causes, alice, bob)
             )
 
 
 class TestSocksOff:
     def test_exact_behavior_matches_frozen_table(self):
-        b = exact_behavior_contextual(socks_off())
+        b = exact_behavior(socks_off())
         assert _as_plain_table(b) == SOCKS_OFF_TABLE
 
     def test_expectations_and_chsh(self):
@@ -282,14 +280,14 @@ class TestSocksOff:
                 source.causes, source.alice_response, source.bob_response
             )
         clone = ContextualModel(source.scenario, blocks)
-        assert exact_behavior_contextual(clone) == exact_behavior_noncontextual(
+        assert exact_behavior(clone) == exact_behavior(
             source
         )
 
 
 class TestSocksColor:
     def test_behavior_matches_enumeration_oracle(self):
-        b = exact_behavior_contextual(socks_color())
+        b = exact_behavior(socks_color())
         assert _as_plain_table(b) == color_variant_table()
         assert _as_plain_table(b) == SOCKS_COLOR_TABLE
 
@@ -386,7 +384,7 @@ class TestRandomNonContextualSoundness:
         rand = random.Random(7)
         for _ in range(200):
             model = random_noncontextual_model(rand)
-            b = exact_behavior_noncontextual(model)
+            b = exact_behavior(model)
             assert b.exact
             value, _ = chsh_max(b)
             assert isinstance(value, Fraction) and value <= 2

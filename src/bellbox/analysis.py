@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     BellboxError,
@@ -36,7 +36,9 @@ from .scenario import (
     require_valid,
     validate_behavior,
 )
-from .simplex import ConstraintMatrix, solve_equality_feasibility
+
+if TYPE_CHECKING:  # annotations only; the solver loads on the first membership test
+    from .simplex import ConstraintMatrix
 
 Arrangement = tuple[int, int, int, int]
 
@@ -190,6 +192,8 @@ def _membership_matrix(
     """The membership system's matrix, read once for the solver: the 0/1
     incidence rows of the strategies on the entries, then the all-ones
     weight row."""
+    from .simplex import ConstraintMatrix
+
     _, keys, hits = _polytope(alice_outcomes, bob_outcomes)
     rows = [[int(i in hit) for hit in hits] for i in range(len(keys))]
     rows.append([1] * len(hits))
@@ -357,6 +361,8 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     over 1, when it has no view), so they sum to 1; a certificate's value is read from the same
     entries and its bound is its largest sum over one strategy's hits.
     """
+    from .simplex import solve_equality_feasibility
+
     _require_two_by_two(behavior.scenario)
     if behavior.exact:
         require_valid(behavior)

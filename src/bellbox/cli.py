@@ -10,6 +10,12 @@ Exit codes: 0 success, 1 input or parse error (diagnostics on stderr),
 
 Each handler imports the analysis or sampler layer itself, so a subcommand
 loads only the modules it runs; the document parser loads only for a file.
+
+``main()`` (the console script, also ``python -m bellbox.cli``) calls
+``gc.freeze()`` once ``run_cli`` has written its output, then exits with its
+code: the process ends there, so interpreter shutdown need not collect the
+cycles of every loaded module, class and function.  ``run_cli`` leaves the
+collector alone, so library callers keep their own collector state.
 """
 
 from __future__ import annotations
@@ -37,9 +43,16 @@ class _CliInputError(Exception):
     """Bad invocation or bad input document; maps to exit code 1."""
 
 
+class _ParserExit(Exception):
+    """argparse ended the invocation itself (``--help``); ``args[0]`` is the exit code."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse would exit(2)
         raise _CliInputError(message)
+
+    def exit(self, status: int = 0, message: str | None = None) -> None:  # argparse would sys.exit
+        raise _ParserExit(status)  # only --help gets here: error() above takes every message
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,6 +113,8 @@ def run_cli(argv: Sequence[str]) -> int:
     try:
         args = parser.parse_args(argv)
         text = _dispatch(args)
+    except _ParserExit as exc:
+        return exc.args[0]
     except _CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -128,7 +143,11 @@ def run_cli(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    import gc
+
+    code = run_cli(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 # ---------------------------------------------------------------------------

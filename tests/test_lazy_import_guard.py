@@ -1,8 +1,9 @@
-"""The package, the CLI and ``document`` import no heavy layer at module level.
+"""The package, the CLI, ``document`` and ``analysis`` import no heavy layer at module level.
 
-``analysis`` (with ``simplex``) and ``sampler`` load on first use: through
+``analysis`` and ``sampler`` load on first use: through
 ``bellbox.__getattr__`` for library callers and inside the CLI handlers
-that run them.  The parser, ``_parser``, loads on the first call of
+that run them.  ``simplex`` loads on the first membership test, inside
+``analysis``.  The parser, ``_parser``, loads on the first call of
 ``document.parse_document``.  An eager import of any of them at module
 level would load them on every start-up again.  Imports under ``if
 TYPE_CHECKING:`` never run and are allowed.
@@ -12,7 +13,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bellbox"
-GUARDED = ("__init__.py", "cli.py", "document.py")
+GUARDED = ("__init__.py", "cli.py", "document.py", "analysis.py")
 HEAVY = {"analysis", "simplex", "sampler", "_parser"}
 
 

@@ -56,8 +56,8 @@ LOADED_BY = {
     "show": CLI_BASE,
     "exact": CLI_BASE,
     "sample": CLI_BASE | {"bellbox.sampler"},
-    "chsh": ANALYSIS,
-    "nosig": ANALYSIS,
+    "chsh": CLI_BASE | {"bellbox.analysis"},
+    "nosig": CLI_BASE | {"bellbox.analysis"},
     "membership": ANALYSIS,
     "classify": ANALYSIS,
 }

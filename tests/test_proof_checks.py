@@ -15,6 +15,7 @@ import pytest
 import bellbox
 import bellbox.analysis as analysis
 import bellbox.scenario as scenario
+import bellbox.simplex as simplex
 from bellbox import BellboxError, exact_behavior, local_membership, socks_off, socks_on
 from bellbox.cli import run_cli
 from bellbox.simplex import FeasibilityOutcome
@@ -73,7 +74,7 @@ BOGUS = {
 @pytest.mark.parametrize("case", sorted(BOGUS))
 def test_unproven_verdict_raises_internal(monkeypatch, case):
     model, outcome = BOGUS[case]
-    monkeypatch.setattr(analysis, "solve_equality_feasibility", _solver_returning(outcome))
+    monkeypatch.setattr(simplex, "solve_equality_feasibility", _solver_returning(outcome))
     with pytest.raises(BellboxError) as exc:
         local_membership(exact_behavior(model()))
     assert exc.value.code == "INTERNAL"
@@ -85,7 +86,7 @@ def test_unproven_verdict_raises_internal_without_an_integer_view(monkeypatch, c
     # Fraction entries over 1, not against integer numerators.
     monkeypatch.setattr(scenario, "_VIEW_BITS", 0)
     model, outcome = BOGUS[case]
-    monkeypatch.setattr(analysis, "solve_equality_feasibility", _solver_returning(outcome))
+    monkeypatch.setattr(simplex, "solve_equality_feasibility", _solver_returning(outcome))
     behavior = exact_behavior(model())
     assert not behavior._int_view()
     with pytest.raises(BellboxError) as exc:
@@ -95,7 +96,7 @@ def test_unproven_verdict_raises_internal_without_an_integer_view(monkeypatch, c
 
 def test_cli_reports_a_failed_proof_as_internal(monkeypatch, capsys):
     model, outcome = BOGUS["bogus certificate"]
-    monkeypatch.setattr(analysis, "solve_equality_feasibility", _solver_returning(outcome))
+    monkeypatch.setattr(simplex, "solve_equality_feasibility", _solver_returning(outcome))
     assert run_cli(["membership", "socks-off"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -106,7 +107,7 @@ def test_checks_survive_python_O():
     script = textwrap.dedent(
         """
         from fractions import Fraction as F
-        import bellbox.analysis as analysis
+        import bellbox.simplex as simplex
         from bellbox import BellboxError, exact_behavior, local_membership, socks_off, socks_on
         from bellbox.simplex import FeasibilityOutcome
 
@@ -116,7 +117,7 @@ def test_checks_survive_python_O():
             (socks_on, FeasibilityOutcome((F(1),) + (F(0),) * 15, None)),
         ]
         for model, outcome in cases:
-            analysis.solve_equality_feasibility = lambda m, r, o=outcome: o
+            simplex.solve_equality_feasibility = lambda m, r, o=outcome: o
             try:
                 local_membership(exact_behavior(model()))
             except BellboxError as exc:

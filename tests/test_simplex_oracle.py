@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-import bellbox.analysis as analysis
+import bellbox.simplex as simplex
 from bellbox import (
     BUILTIN_NAMES,
     Behavior,
@@ -164,7 +164,7 @@ def test_membership_systems_match_the_fraction_solver(monkeypatch):
         systems.append((matrix, rhs, outcome))
         return outcome
 
-    monkeypatch.setattr(analysis, "solve_equality_feasibility", both)
+    monkeypatch.setattr(simplex, "solve_equality_feasibility", both)
     verdicts = {local_membership(b).feasible for b in _membership_behaviors()}
     assert verdicts == {True, False}
     assert len(systems) >= 20
@@ -182,7 +182,7 @@ def _recorded_systems(monkeypatch, behaviors):
         systems.append((matrix, rhs, outcome))
         return outcome
 
-    monkeypatch.setattr(analysis, "solve_equality_feasibility", both)
+    monkeypatch.setattr(simplex, "solve_equality_feasibility", both)
     for behavior in behaviors:
         local_membership(behavior)
     return systems

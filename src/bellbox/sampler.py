@@ -33,18 +33,22 @@ A run samples its trials in one pass that stores a small integer per trial:
 the index of its cell ``(context, cause, a, b)``.  The counts are read from
 those codes at once; the :class:`TrialRecord` tuple is built from them only
 when ``ExperimentRun.records`` is first read, so a caller that needs only
-counts never builds a record.
+counts never builds a record.  Records are slotted and built there without a
+per-record ``__init__``; ``write_trials`` writes the lines of ``trial_lines``
+in blocks of whole lines, the same byte stream as one line per write.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import SamplerError
@@ -59,6 +63,8 @@ _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
 
 TRIAL_HEADER = "trial,alice_setting,bob_setting,cause,a,b"
+# Lines per ``write`` call of ``write_trials``.
+_WRITE_BLOCK = 1024
 
 
 def _mix64(x: int) -> int:
@@ -80,7 +86,7 @@ def unit_draw(seed: int, trial_index: int, draw_index: int) -> float:
     return (keyed_word(seed, trial_index, draw_index) >> 11) * 2.0**-53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """One joint-measurement run: actualized cause and both outcomes."""
 
@@ -89,6 +95,13 @@ class TrialRecord:
     cause_id: str
     alice_outcome: int
     bob_outcome: int
+
+    def __setstate__(self, state) -> None:
+        # Pickles of this class before it had slots carry its ``__dict__``.
+        if isinstance(state, dict):
+            state = [state[f.name] for f in fields(self)]
+        for f, value in zip(fields(self), state):
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -127,6 +140,14 @@ class ExperimentPlan:
     schedule: Schedule
 
     def __post_init__(self) -> None:
+        for name in ("seed", "trials"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise SamplerError(
+                    f"plan {name} must be an integer, not {value!r}", code="BAD_PLAN"
+                ) from None
         if self.trials < 1:
             raise SamplerError("plan needs at least one trial", code="BAD_PLAN")
 
@@ -209,10 +230,28 @@ class ExperimentRun:
     @cached_property
     def records(self) -> tuple[TrialRecord, ...]:
         """Every trial's record in trial order, built on first access."""
-        cells = self._cells
+        cells, codes = self._cells, self._codes
+        # Each record is set through its slots, which skips the frozen
+        # ``__init__`` and its five ``object.__setattr__`` calls.
+        new = TrialRecord.__new__
+        set_index, set_context, set_cause, set_a, set_b = (
+            getattr(TrialRecord, f.name).__set__ for f in fields(TrialRecord)
+        )
+
+        def build() -> Iterator[TrialRecord]:
+            for i, code in enumerate(codes):
+                record = new(TrialRecord)
+                context, cause_id, a, b = cells[code]
+                set_index(record, i)
+                set_context(record, context)
+                set_cause(record, cause_id)
+                set_a(record, a)
+                set_b(record, b)
+                yield record
+
         # From a generator, not a list: the tuple then grows alone, so building
         # it needs no second array of record pointers.
-        return tuple(TrialRecord(i, *cells[code]) for i, code in enumerate(self._codes))
+        return tuple(build())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExperimentRun):
@@ -457,5 +496,7 @@ def trial_lines(scenario: Scenario, records: Iterable[TrialRecord]) -> Iterator[
 def write_trials(
     stream: IO[str], scenario: Scenario, records: Iterable[TrialRecord]
 ) -> None:
-    for line in trial_lines(scenario, records):
-        stream.write(line + "\n")
+    """Write ``trial_lines``, each ended by a newline, in blocks of whole lines."""
+    lines = trial_lines(scenario, records)
+    while block := list(islice(lines, _WRITE_BLOCK)):
+        stream.write("\n".join(block) + "\n")

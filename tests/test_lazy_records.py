@@ -1,6 +1,9 @@
 """``ExperimentRun.records`` is built from per-trial cell codes on first access."""
 
+import copy
+import dataclasses
 import gc
+import pickle
 import random
 import sys
 import tracemalloc
@@ -18,6 +21,7 @@ from bellbox import (
     ResponseFunction,
     Scenario,
     Schedule,
+    TrialRecord,
     run_experiment,
     sample_trial,
     socks_off,
@@ -54,6 +58,9 @@ def test_counts_only_run_retains_no_records():
     finally:
         tracemalloc.stop()
     assert built > 10_000_000
+    # Slotted records take about 21.6 MB with their tuple; records with a
+    # ``__dict__`` took about 29.6 MB.
+    assert built < 25_000_000
 
 
 def test_records_are_one_cached_tuple():
@@ -147,3 +154,53 @@ def test_wide_models_round_trip(causes, outcomes, itemsize):
             for b, n in enumerate(row, start=1)
             if n
         } == counts[ctx]
+
+
+@pytest.mark.parametrize("kind", sorted(_SCHEDULES))
+def test_built_records_behave_like_constructed_ones(kind):
+    model = socks_off()
+    seed = 31
+    run = run_experiment(model, ExperimentPlan(seed, 40, _SCHEDULES[kind]))
+    for built in run.records:
+        values = (built.index, built.context, built.cause_id,
+                  built.alice_outcome, built.bob_outcome)
+        constructed = TrialRecord(*values)
+        assert built == constructed == sample_trial(model, built.context, built.index, seed)
+        assert hash(built) == hash(constructed)
+        assert repr(built) == repr(constructed)
+        assert dataclasses.fields(built) == dataclasses.fields(constructed)
+        assert [f.name for f in dataclasses.fields(built)] == [
+            "index", "context", "cause_id", "alice_outcome", "bob_outcome"
+        ]
+        assert dataclasses.astuple(built) == dataclasses.astuple(constructed)
+        moved = dataclasses.replace(built, index=built.index + 1)
+        assert moved == TrialRecord(built.index + 1, *values[1:])
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            loaded = pickle.loads(pickle.dumps(built, protocol))
+            assert loaded == constructed and repr(loaded) == repr(constructed)
+        assert copy.copy(built) == copy.deepcopy(built) == constructed
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.index = 0
+
+
+# TrialRecord(7, Context(1, 0), "k", 2, 1) pickled before the class had
+# slots, when the pickled state was the instance ``__dict__``.
+_DICT_STATE_PICKLES = (
+    b"ccopy_reg\n_reconstructor\np0\n(cbellbox.sampler\nTrialRecord\np1\nc__builtin__"
+    b"\nobject\np2\nNtp3\nRp4\n(dp5\nVindex\np6\nI7\nsVcontext\np7\ng0\n(cbellbox."
+    b"scenario\nContext\np8\ng2\nNtp9\nRp10\n(dp11\nValice\np12\nI1\nsVbob\np13\nI0"
+    b"\nsbsVcause_id\np14\nVk\np15\nsValice_outcome\np16\nI2\nsVbob_outcome\np17\nI1"
+    b"\nsb.",
+    b"\x80\x04\x95\xa9\x00\x00\x00\x00\x00\x00\x00\x8c\x0fbellbox.sampler\x94\x8c"
+    b"\x0bTrialRecord\x94\x93\x94)\x81\x94}\x94(\x8c\x05index\x94K\x07\x8c\x07context"
+    b"\x94\x8c\x10bellbox.scenario\x94\x8c\x07Context\x94\x93\x94)\x81\x94}\x94(\x8c"
+    b"\x05alice\x94K\x01\x8c\x03bob\x94K\x00ub\x8c\x08cause_id\x94\x8c\x01k\x94\x8c"
+    b"\ralice_outcome\x94K\x02\x8c\x0bbob_outcome\x94K\x01ub.",
+)
+
+
+@pytest.mark.parametrize("data", _DICT_STATE_PICKLES, ids=["protocol0", "protocol4"])
+def test_pickles_with_dict_state_still_load(data):
+    loaded = pickle.loads(data)
+    assert loaded == TrialRecord(7, Context(1, 0), "k", 2, 1)
+    assert loaded.index == 7 and loaded.cause_id == "k"

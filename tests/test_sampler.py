@@ -8,6 +8,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -231,6 +232,27 @@ class TestRunExperiment:
         with pytest.raises(SamplerError):
             Schedule.fixed(None)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize(
+        "seed, trials",
+        [(1, 2.5), (1, "3"), (1, math.nan), (1.5, 3), (None, 3)],
+        ids=["float-trials", "str-trials", "nan-trials", "float-seed", "none-seed"],
+    )
+    def test_non_integer_plan_rejected(self, seed, trials):
+        with pytest.raises(SamplerError) as info:
+            ExperimentPlan(seed, trials, Schedule.cycle())
+        assert info.value.code == "BAD_PLAN"
+
+    def test_integer_like_plan_accepted(self):
+        numpy = pytest.importorskip("numpy")
+
+        class Count(int):
+            pass
+
+        plan = ExperimentPlan(numpy.int64(14), Count(500), Schedule.uniform())
+        same = ExperimentPlan(14, 500, Schedule.uniform())
+        assert plan == same
+        assert run_experiment(socks_off(), plan) == run_experiment(socks_off(), same)
+
 
 class TestEmpiricalDeviation:
     def test_exact_frequencies_give_zero(self):
@@ -330,6 +352,20 @@ class TestExport:
         write_trials(first, STANDARD_SCENARIO, run_experiment(socks_off(), plan).records)
         write_trials(second, STANDARD_SCENARIO, run_experiment(socks_off(), plan).records)
         assert first.getvalue() == second.getvalue()
+
+    @pytest.mark.parametrize("kind", ["fixed", "uniform", "cycle"])
+    def test_write_trials_writes_whole_line_blocks(self, kind):
+        block = sampler._WRITE_BLOCK
+        schedule = Schedule.fixed(Context(1, 0)) if kind == "fixed" else Schedule(kind)
+        run = run_experiment(socks_off(), ExperimentPlan(15, 2 * block + 1, schedule))
+        for n in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+            records = run.records[:n]
+            want = "".join(line + "\n" for line in trial_lines(STANDARD_SCENARIO, records))
+            for given in (records, (r for r in records)):
+                writes = []
+                write_trials(SimpleNamespace(write=writes.append), STANDARD_SCENARIO, given)
+                assert "".join(writes) == want
+                assert all(w.endswith("\n") and w.count("\n") <= block for w in writes)
 
 
 def _contract_pick(weights, u: float) -> int:

@@ -3,7 +3,8 @@
 Parsing is total: malformed input produces :class:`ParseDiagnostic` entries
 with line and column positions, never an exception.  Each cause weight and
 response row is checked once, on integer numerators, as it is read, and a
-parsed model keeps the terms so checked.
+parsed model keeps the terms so checked.  One reader takes both model sections:
+the families differ only in ``models._cause_sets`` and in the ``context`` line.
 
 Probability literals are rationals ``p/q`` or decimals.  In the default
 exact mode a decimal is converted to a rational with denominator at most
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .document import (
@@ -176,8 +178,8 @@ def parse(text: str) -> ParseResult:
     kind = present[0]
     builders: dict[str, Callable] = {
         "behavior": _build_behavior,
-        "noncontextual": _build_noncontextual,
-        "contextual": _build_contextual,
+        "noncontextual": _build_model,
+        "contextual": partial(_build_model, contextual=True),
         "singlet": _build_singlet,
     }
     payload = builders[kind](p, scenario, sections[kind])
@@ -422,6 +424,7 @@ def _build_behavior(
         return None
 
     zero: Prob = 0.0 if as_float else Fraction(0)
+    section_pos = (lines[0][0] if lines else 1, 1)  # of a context with no entry
     table: dict[Context, tuple[tuple[Prob, ...], ...]] = {}
     for ctx in scenario.contexts():
         na = scenario.alice_outcomes[ctx.alice]
@@ -430,7 +433,7 @@ def _build_behavior(
             [cells.get((ctx, a, b), zero) for b in range(1, nb + 1)]
             for a in range(1, na + 1)
         ]
-        line_no, column = cell_pos.get(ctx, (lines[0][0] if lines else 1, 1))
+        line_no, column = cell_pos.get(ctx, section_pos)
         total = exact_sum([v for row in grid for v in row])
         negative = any(v < 0 for row in grid for v in row)
         if negative:
@@ -585,33 +588,24 @@ def _is_distribution(values: list[Fraction]) -> bool:
     return total == den
 
 
-def _build_noncontextual(
-    p: _DocParser, scenario: Scenario, lines: list[_Line]
-) -> NonContextualModel | None:
-    acc = _CauseAccumulator(p, scenario, "the cause set")
-    for line_no, text in lines:
-        tokens = text.split()
-        if tokens[0] == "cause":
-            acc.on_cause(line_no, text, tokens)
-        elif tokens[0] == "respond":
-            acc.on_respond(line_no, text, tokens)
-        else:
-            p.error_at_head(line_no, text, "SYNTAX: expected 'cause' or 'respond'")
-    built = acc.finish(lines[0][0] if lines else 1)
-    if built is None:
-        return None
-    return _checked(NonContextualModel(scenario, *built))
+def _build_model(
+    p: _DocParser, scenario: Scenario, lines: list[_Line], contextual: bool = False
+) -> NonContextualModel | ContextualModel | None:
+    """The model of a ``[noncontextual]`` section, or with ``contextual`` of a ``[contextual]`` one.
 
-
-def _build_contextual(
-    p: _DocParser, scenario: Scenario, lines: list[_Line]
-) -> ContextualModel | None:
-    acc: _CauseAccumulator | None = None
-    pending: dict[Context, tuple[int, _CauseAccumulator]] = {}
+    A ``[noncontextual]`` section is the one cause set that answers every
+    setting (the ``ctx is None`` set of ``models._cause_sets``); in a
+    ``[contextual]`` section each ``context <x> <y>`` line opens the cause set
+    of its context, and every context needs one.
+    """
+    section_line = lines[0][0] if lines else 1
+    acc = None if contextual else _CauseAccumulator(p, scenario, "the cause set")
+    sets = {} if acc is None else {None: (section_line, acc)}  # ctx -> (its line, its set)
+    heads = "'context', 'cause' or 'respond'" if contextual else "'cause' or 'respond'"
     for line_no, text in lines:
         tokens = text.split()
         head = tokens[0]
-        if head == "context":
+        if head == "context" and contextual:
             acc = None
             if len(tokens) != 3:
                 p.error_at_head(line_no, text, "SYNTAX: expected 'context <x> <y>'")
@@ -619,51 +613,40 @@ def _build_contextual(
             ctx = _context(p, scenario, line_no, tokens[1], tokens[2], (text, 1), (text, 2))
             if ctx is None:
                 continue
-            if ctx in pending:
-                p.error(
-                    line_no,
-                    (text, 1),
-                    f"SYNTAX: duplicate block for context {ctx.label(scenario)}",
-                )
+            if ctx in sets:
+                message = f"SYNTAX: duplicate block for context {ctx.label(scenario)}"
+                p.error(line_no, (text, 1), message)
                 continue
             acc = _CauseAccumulator(p, scenario, f"context {ctx.label(scenario)}", ctx)
-            pending[ctx] = (line_no, acc)
-        elif head in ("cause", "respond"):
-            if acc is None:
-                p.error(line_no, (text, 0), f"SYNTAX: '{head}' before any 'context' line")
-            elif head == "cause":
-                acc.on_cause(line_no, text, tokens)
-            else:
-                acc.on_respond(line_no, text, tokens)
+            sets[ctx] = (line_no, acc)
+        elif head not in ("cause", "respond"):
+            p.error_at_head(line_no, text, f"SYNTAX: expected {heads}")
+        elif acc is None:
+            p.error(line_no, (text, 0), f"SYNTAX: '{head}' before any 'context' line")
+        elif head == "cause":
+            acc.on_cause(line_no, text, tokens)
         else:
-            p.error_at_head(line_no, text, "SYNTAX: expected 'context', 'cause' or 'respond'")
+            acc.on_respond(line_no, text, tokens)
 
-    blocks: dict[Context, ContextBlock] = {}
-    for ctx, (block_line, block_acc) in pending.items():
-        built = block_acc.finish(block_line)
-        if built is not None:
-            blocks[ctx] = ContextBlock(*built)
-    for ctx in scenario.contexts():
-        if ctx not in pending:
-            p.error(
-                lines[0][0] if lines else 1,
-                1,
-                f"SYNTAX: missing block for context {ctx.label(scenario)}",
-            )
+    built = {ctx: set_acc.finish(set_line) for ctx, (set_line, set_acc) in sets.items()}
+    for ctx in scenario.contexts() if contextual else ():
+        if ctx not in sets:
+            p.error(section_line, 1, f"SYNTAX: missing block for context {ctx.label(scenario)}")
     if p.errors:
         return None
-    return _checked(ContextualModel(scenario, blocks))
+    if contextual:
+        model = ContextualModel(scenario, {ctx: ContextBlock(*b) for ctx, b in built.items()})
+    else:
+        model = NonContextualModel(scenario, *built[None])
+    return _checked(model)
 
 
 def _build_singlet(
     p: _DocParser, scenario: Scenario, lines: list[_Line]
 ) -> SingletSpec | None:
+    section_line = lines[0][0] if lines else 1
     if not scenario.is_binary():
-        p.error(
-            lines[0][0] if lines else 1,
-            1,
-            "SYNTAX: singlet documents need two-outcome settings",
-        )
+        p.error(section_line, 1, "SYNTAX: singlet documents need two-outcome settings")
         return None
     angles: dict[str, tuple[float, ...]] = {}
     for line_no, text in lines:
@@ -687,11 +670,7 @@ def _build_singlet(
         expected = len(scenario.settings(party))  # type: ignore[arg-type]
         got = angles.get(key)
         if got is None or len(got) != expected:
-            p.error(
-                lines[0][0] if lines else 1,
-                1,
-                f"SYNTAX: {key} needs exactly {expected} angles",
-            )
+            p.error(section_line, 1, f"SYNTAX: {key} needs exactly {expected} angles")
     if p.errors:
         return None
     return SingletSpec(angles["alice_angles_deg"], angles["bob_angles_deg"])

@@ -488,29 +488,13 @@ def classify(behavior: Behavior) -> AnalysisReport:
     # The residual is >= 0, so a truth test stands for ``> 0``; it costs no ABC instance check.
     signaling = bool(residual) and (behavior.exact or residual > SIGNALING_ATOL)
     if signaling:
-        return AnalysisReport(
-            behavior,
-            expectations,
-            best,
-            best_arrangement,
-            residual,
-            Classification.SIGNALING,
-            None,
-            None,
-            0.0,
+        classification, proofs = Classification.SIGNALING, (None, None, 0.0)
+    else:
+        membership = local_membership(behavior)
+        classification = (
+            Classification.LOCAL if membership.feasible else Classification.NONLOCAL_NOSIGNALING
         )
-    membership = local_membership(behavior)
-    classification = (
-        Classification.LOCAL if membership.feasible else Classification.NONLOCAL_NOSIGNALING
-    )
+        proofs = (membership.decomposition, membership.certificate, membership.snap_error)
     return AnalysisReport(
-        behavior,
-        expectations,
-        best,
-        best_arrangement,
-        residual,
-        classification,
-        membership.decomposition,
-        membership.certificate,
-        membership.snap_error,
+        behavior, expectations, best, best_arrangement, residual, classification, *proofs
     )

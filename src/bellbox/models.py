@@ -11,10 +11,10 @@ Two families are supported:
   set, actualized by the joint measurement itself.  Such models can reach
   the algebraic CHSH maximum of 4 and may or may not respect no-signaling.
 
-The families differ in one function, ``_cause_sets``.  Validation, the
-lowering of a model to per-context :data:`Term` lists and the serializer
-walk it; the exact table and the sampler read only the terms, which a model
-keeps once checked.
+The families differ only in one function, ``_cause_sets``, and in the
+parser's ``context`` line.  Validation, the lowering of a model to
+per-context :data:`Term` lists and the serializer walk it; the exact table
+and the sampler read only the terms, which a model keeps once checked.
 
 The canonical instances model a subject carrying two pocket handkerchiefs
 that always share one color (pink half the time) and a pair of socks of
@@ -218,21 +218,29 @@ def _answered_settings(scenario: Scenario, ctx: Context | None) -> tuple[tuple[i
 def _cause_sets(model: Model) -> Iterator[tuple]:
     """``(where, ctx, group, alice_settings, bob_settings)`` per cause set, in check order.
 
-    This is where the two families differ.  A noncontextual model is one
-    set, shared by every context (``ctx`` is ``None``).  A contextual model
-    has one per context, in scenario order: ``group`` is the context's block,
-    and a missing one raises ``MODEL_INVALID`` when its context is reached.
+    The two families differ only here and in the parser's ``context`` line.
+    A noncontextual model is one set, shared by every context (``ctx`` is
+    ``None``).  A contextual model has one per context, in scenario order:
+    ``group`` is the context's block.  A missing block raises
+    ``MODEL_INVALID`` when its context is reached, and a block for any other
+    key once the last context's block has been yielded.
     """
     scenario = model.scenario
     if isinstance(model, NonContextualModel):
         yield ("model", None, model, *_answered_settings(scenario, None))
         return
-    for ctx in scenario.contexts():
+    contexts = scenario.contexts()
+    for ctx in contexts:
         where = f"context {ctx.label(scenario)}"
         block = model.blocks.get(ctx)
         if block is None:
             raise ModelError(f"missing block for {where}", code="MODEL_INVALID")
         yield (where, ctx, block, *_answered_settings(scenario, ctx))
+    if len(model.blocks) > len(contexts):  # every context has its block: the rest are unknown
+        known = set(contexts)
+        key = next(key for key in model.blocks if key not in known)
+        shown = f"({key.alice},{key.bob})" if isinstance(key, Context) else repr(key)
+        raise ModelError(f"block for unknown context {shown}", code="MODEL_INVALID")
 
 
 def validate_model(model: Model) -> Model:
@@ -248,14 +256,6 @@ def validate_model(model: Model) -> Model:
             for y in ys:
                 _check_response_row(
                     group.bob_response, y, cause.id, scenario.bob_outcomes[y], where
-                )
-    if isinstance(model, ContextualModel):
-        known = set(scenario.contexts())
-        for ctx in model.blocks:
-            if ctx not in known:
-                raise ModelError(
-                    f"block for unknown context ({ctx.alice},{ctx.bob})",
-                    code="MODEL_INVALID",
                 )
     return model
 
@@ -492,8 +492,12 @@ class QuantumDirections:
     bob_angles: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alice_angles", tuple(float(a) for a in self.alice_angles))
-        object.__setattr__(self, "bob_angles", tuple(float(a) for a in self.bob_angles))
+        try:
+            object.__setattr__(self, "alice_angles", tuple(float(a) for a in self.alice_angles))
+            object.__setattr__(self, "bob_angles", tuple(float(a) for a in self.bob_angles))
+        except OverflowError:
+            message = "measurement angle too large for a float"
+            raise ModelError(message, code="ANGLES_MISSING") from None
         for angle in self.alice_angles + self.bob_angles:
             if not math.isfinite(angle):
                 raise ModelError(

@@ -119,6 +119,8 @@ class Schedule:
                 "fixed schedules carry a context; uniform/cycle do not",
                 code="BAD_PLAN",
             )
+        if self.context is not None and not isinstance(self.context, Context):
+            raise SamplerError(f"not a Context: {self.context!r}", code="BAD_PLAN")
 
     @staticmethod
     def fixed(context: Context) -> "Schedule":
@@ -404,6 +406,8 @@ def sample_trial(
     """
     validate_model(model)
     terms = _checked(model)._terms
+    if not isinstance(context, Context):
+        raise SamplerError(f"not a Context: {context!r}", code="BAD_PLAN")
     if context not in model.scenario.contexts():
         raise SamplerError(
             f"model has no context ({context.alice},{context.bob})",

@@ -10,6 +10,7 @@ normalization checked against ``FLOAT_ATOL``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Literal, Sequence, Union
@@ -151,8 +152,15 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alice_settings", tuple(self.alice_settings))
         object.__setattr__(self, "bob_settings", tuple(self.bob_settings))
-        object.__setattr__(self, "alice_outcomes", tuple(self.alice_outcomes))
-        object.__setattr__(self, "bob_outcomes", tuple(self.bob_outcomes))
+        for name in ("alice_outcomes", "bob_outcomes"):
+            counts = []
+            for count in getattr(self, name):
+                try:
+                    counts.append(operator.index(count))
+                except TypeError:
+                    message = f"outcome counts must be integers, not {count!r}"
+                    raise ScenarioShapeError(message, code="SCENARIO_SHAPE") from None
+            object.__setattr__(self, name, tuple(counts))
         for party in PARTIES:
             labels = self.settings(party)
             counts = self.outcome_counts(party)

@@ -26,6 +26,7 @@ from bellbox import (
     exact_behavior,
     parse_document,
     serialize_document,
+    socks_off,
     socks_on,
     validate_model,
 )
@@ -299,6 +300,115 @@ class TestParsing:
             assert result.errors()
 
 
+_HEAD_2X2 = "bellbox-format 1\n[scenario]\nalice = A A'\nbob = B B'\n"
+_SHARED_SET = (
+    "cause k weight 1\nrespond alice A -> 1 0\nrespond alice A' -> 1 0\n"
+    "respond bob B -> 1 0\nrespond bob B' -> 1 0\n"
+)
+_ALL_CONTEXTS = (("A", "B"), ("A", "B'"), ("A'", "B"), ("A'", "B'"))
+
+
+def _blocks(*contexts: tuple[str, str]) -> str:
+    return "".join(
+        f"context {x} {y}\ncause k weight 1\nrespond alice {x} -> 1 0\nrespond bob {y} -> 1 0\n"
+        for x, y in contexts
+    )
+
+
+# Each model-section diagnostic that depends on the section kind, pinned by value:
+# (line, column, message, token) of every diagnostic, in order.
+MODEL_SECTION_DIAGNOSTICS = {
+    "duplicate-context": (
+        _HEAD_2X2 + "[contextual]\n" + _blocks(*_ALL_CONTEXTS) + _blocks(("A'", "B")),
+        [
+            (22, 9, "SYNTAX: duplicate block for context (A',B)", ""),
+            (23, 1, "SYNTAX: 'cause' before any 'context' line", ""),
+            (24, 1, "SYNTAX: 'respond' before any 'context' line", ""),
+            (25, 1, "SYNTAX: 'respond' before any 'context' line", ""),
+        ],
+    ),
+    "context-in-noncontextual": (
+        _HEAD_2X2 + "[noncontextual]\ncontext A B\n" + _SHARED_SET,
+        [(6, 1, "SYNTAX: expected 'cause' or 'respond'", "context")],
+    ),
+    "cause-before-context": (
+        _HEAD_2X2 + "[contextual]\ncause k weight 1\nrespond alice A -> 1 0\n"
+        + _blocks(*_ALL_CONTEXTS),
+        [
+            (6, 1, "SYNTAX: 'cause' before any 'context' line", ""),
+            (7, 1, "SYNTAX: 'respond' before any 'context' line", ""),
+        ],
+    ),
+    "context-arity": (
+        _HEAD_2X2 + "[contextual]\ncontext A\n" + _blocks(*_ALL_CONTEXTS) + "context A B B'\n",
+        [
+            (6, 1, "SYNTAX: expected 'context <x> <y>'", "context"),
+            (23, 1, "SYNTAX: expected 'context <x> <y>'", "context"),
+        ],
+    ),
+    "missing-block": (
+        _HEAD_2X2 + "# blocks\n\n[contextual]\n" + _blocks(("A", "B"), ("A'", "B'")),
+        [
+            (8, 1, "SYNTAX: missing block for context (A,B')", ""),
+            (8, 1, "SYNTAX: missing block for context (A',B)", ""),
+        ],
+    ),
+    "missing-every-block": (
+        _HEAD_2X2 + "\n[contextual]\n",
+        [
+            (1, 1, "SYNTAX: missing block for context (A,B)", ""),
+            (1, 1, "SYNTAX: missing block for context (A,B')", ""),
+            (1, 1, "SYNTAX: missing block for context (A',B)", ""),
+            (1, 1, "SYNTAX: missing block for context (A',B')", ""),
+        ],
+    ),
+    "empty-shared-set": (
+        _HEAD_2X2 + "\n[noncontextual]\n",
+        [(1, 1, "SYNTAX: the cause set declares no causes", "")],
+    ),
+    "empty-block": (
+        _HEAD_2X2 + "[contextual]\ncontext A B\n" + _blocks(*_ALL_CONTEXTS[1:]),
+        [(6, 1, "SYNTAX: context (A,B) declares no causes", "")],
+    ),
+    "unknown-line-contextual": (
+        _HEAD_2X2 + "[contextual]\n" + _blocks(*_ALL_CONTEXTS) + "weight k 1\n",
+        [(22, 1, "SYNTAX: expected 'context', 'cause' or 'respond'", "weight")],
+    ),
+    "unknown-line-noncontextual": (
+        _HEAD_2X2 + "[noncontextual]\n" + _SHARED_SET + "weight k 1\n",
+        [(11, 1, "SYNTAX: expected 'cause' or 'respond'", "weight")],
+    ),
+    "unknown-context-label": (
+        _HEAD_2X2 + "[contextual]\ncontext A B''\ncontext A'' B\n" + _blocks(*_ALL_CONTEXTS),
+        [
+            (6, 11, "UNKNOWN_LABEL: not a bob setting", "B''"),
+            (7, 9, "UNKNOWN_LABEL: not an alice setting", "A''"),
+        ],
+    ),
+    "setting-outside-context": (
+        _HEAD_2X2 + "[contextual]\n" + _blocks(*_ALL_CONTEXTS).replace(
+            "respond bob B' -> 1 0\n", "respond bob B' -> 1 0\nrespond bob B -> 1 0\n", 1
+        ),
+        [(14, 13, "SYNTAX: setting B is not part of context (A,B')", "B")],
+    ),
+    "unnormalized-block": (
+        _HEAD_2X2 + "[contextual]\n" + _blocks(*_ALL_CONTEXTS).replace("weight 1", "weight 1/2", 1),
+        [(7, 1, "UNNORMALIZED: cause weights in context (A,B) sum to 1/2", "")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_SECTION_DIAGNOSTICS))
+def test_model_section_diagnostics_are_pinned(case):
+    text, expected = MODEL_SECTION_DIAGNOSTICS[case]
+    result = parse_document(text)
+    assert result.document is None
+    got = [(d.line, d.column, d.message, d.token) for d in result.diagnostics]
+    assert got == expected
+    assert all(d.severity == "error" for d in result.diagnostics)
+
+
+
 class TestRoundTrip:
     def test_random_documents_round_trip(self):
         rand = random.Random(1234)
@@ -462,6 +572,17 @@ class TestRoundTrip:
             serialize_document(doc)
         assert exc.value.code == "MODEL_INVALID"
         assert "missing block for context (A',B')" in str(exc.value)
+
+    def test_contextual_document_with_an_unknown_block_is_refused(self):
+        # The serializer writes one block per scenario context, so a block for
+        # a context outside the scenario would be dropped from the text.
+        model = socks_off()
+        blocks = {**model.blocks, Context(5, 5): model.blocks[Context(0, 0)]}
+        doc = ModelDocument(model.scenario, contextual=dataclasses.replace(model, blocks=blocks))
+        with pytest.raises(ModelError) as exc:
+            serialize_document(doc)
+        assert exc.value.code == "MODEL_INVALID"
+        assert "block for unknown context (5,5)" in str(exc.value)
 
 
 def _assert_unreadable(doc, shown: str) -> None:

@@ -238,6 +238,18 @@ class TestDegenerateModels:
                 NonContextualModel(scenario, causes, alice, bob)
             )
 
+    @pytest.mark.parametrize(
+        "key, shown", [(Context(5, 5), "(5,5)"), ((0, 0), "(0, 0)")], ids=["unknown", "not-a-context"]
+    )
+    def test_block_outside_the_scenario_rejected(self, key, shown):
+        model = socks_off()
+        extra = replace(model, blocks={**model.blocks, key: model.blocks[Context(0, 0)]})
+        for check in (validate_model, exact_behavior):
+            with pytest.raises(ModelError) as exc:
+                check(extra)
+            assert exc.value.code == "MODEL_INVALID"
+            assert f"block for unknown context {shown}" in str(exc.value)
+
 
 class TestSocksOff:
     def test_exact_behavior_matches_frozen_table(self):
@@ -377,6 +389,12 @@ class TestSingletBehavior:
     def test_nonfinite_angle_rejected(self):
         with pytest.raises(ModelError):
             QuantumDirections((float("nan"),), (0.0,))
+
+    @pytest.mark.parametrize("angle", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+    def test_angle_too_large_for_a_float_rejected(self, angle):
+        with pytest.raises(ModelError) as exc:
+            QuantumDirections((0.0,), (angle,))
+        assert exc.value.code == "ANGLES_MISSING"
 
 
 class TestRandomNonContextualSoundness:

@@ -232,6 +232,15 @@ class TestRunExperiment:
         with pytest.raises(SamplerError):
             Schedule.fixed(None)  # type: ignore[arg-type]
 
+    def test_context_that_is_not_a_context_rejected(self):
+        for call in (
+            lambda: Schedule.fixed((0, 0)),  # type: ignore[arg-type]
+            lambda: sample_trial(socks_off(), (0, 0), 0, 1),  # type: ignore[arg-type]
+        ):
+            with pytest.raises(SamplerError) as info:
+                call()
+            assert info.value.code == "BAD_PLAN"
+
     @pytest.mark.parametrize(
         "seed, trials",
         [(1, 2.5), (1, "3"), (1, math.nan), (1.5, 3), (None, 3)],

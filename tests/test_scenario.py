@@ -71,6 +71,22 @@ class TestScenario:
         with pytest.raises(ScenarioShapeError):
             Scenario(("A",), ("B",), (1,), (2,))
 
+    @pytest.mark.parametrize("count", [2.5, "2", None], ids=["float", "str", "none"])
+    def test_non_integer_outcome_count_rejected(self, count):
+        with pytest.raises(ScenarioShapeError) as exc:
+            Scenario(("A",), ("B",), (count,), (2,))
+        assert exc.value.code == "SCENARIO_SHAPE"
+
+    def test_integer_like_outcome_counts_stored_as_int(self):
+        numpy = pytest.importorskip("numpy")
+
+        class Count(int):
+            pass
+
+        scenario = Scenario(("A",), ("B",), (Count(3),), (numpy.int64(4),))
+        assert scenario == Scenario(("A",), ("B",), (3,), (4,))
+        assert [type(c) for c in scenario.alice_outcomes + scenario.bob_outcomes] == [int, int]
+
     def test_setting_index(self):
         assert STANDARD_SCENARIO.setting_index("alice", "A'") == 1
         with pytest.raises(ScenarioShapeError):

@@ -323,11 +323,12 @@ def _snap_behavior(behavior: Behavior) -> tuple[Behavior, float]:
 
     Float entries are snapped to denominators <=
     SNAP_DENOMINATOR (``_snap``) and each context renormalized exactly: its
-    integer numerators over their total.  Contexts further than
-    SIGNALING_ATOL from normalization are rejected.
+    integer numerators over their total, from which the table is built
+    with its view.  Contexts further than SIGNALING_ATOL from normalization
+    are rejected.
     """
     scenario = behavior.scenario
-    table = {}
+    parts = {}
     snap_error = 0.0
     for ctx in scenario.contexts():
         rows = behavior.table[ctx]
@@ -344,8 +345,8 @@ def _snap_behavior(behavior: Behavior) -> tuple[Behavior, float]:
         for row, orig_row in zip(nums, rows):
             for n, orig in zip(row, orig_row):
                 snap_error = max(snap_error, abs(n / total - float(orig)))
-        table[ctx] = [[Fraction(n, total) for n in row] for row in nums]
-    return Behavior(scenario, table), snap_error
+        parts[ctx] = nums, total
+    return Behavior._from_integers(scenario, parts), snap_error
 
 
 def local_membership(behavior: Behavior) -> MembershipResult:
@@ -356,10 +357,13 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     weights summing to 1.  Solved in exact rational arithmetic; floating
     input is snapped first (see ``MembershipResult.tested``) and needs to be
     normalized only within the snap's tolerance.  A table validated before is
-    not checked again.  Both proofs are checked on integers, entry by position: a decomposition's
-    weights over their lcm must be >= 0 and rebuild the tested table's integer view (its entries,
-    over 1, when it has no view), so they sum to 1; a certificate's value is read from the same
-    entries and its bound is its largest sum over one strategy's hits.
+    not checked again.  The system solved has the right-hand side ``entries + [den]``: the
+    tested table's integer view, or its entries over 1 when it has no view.  Scaling b by
+    ``den > 0`` changes no ratio test, so the pivots and the certificate are those of the
+    table's own values, and the solution is ``den`` times the weights.  Both proofs are checked
+    on integers, entry by position: the solution over its lcm must be >= 0 and rebuild the
+    entries, so the weights sum to 1; a certificate's value is read from the same entries and
+    its bound is its largest sum over one strategy's hits.
     """
     from .simplex import solve_equality_feasibility
 
@@ -379,30 +383,24 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     shape = (scenario.alice_outcomes, scenario.bob_outcomes)
     strategies, entry_keys, hits = _polytope(*shape)
     contexts, view = scenario.contexts(), tested._int_view()
-    values = [v for ctx in contexts for row in tested.table[ctx] for v in row]
     # The tested entries in entry order over den: the view's numerators, else the entries.
-    den, entries = (view[0], [n for c in contexts for row in view[1][c] for n in row]) if view else (1, values)
+    grids, den = (view[1], view[0]) if view else (tested.table, 1)
+    entries = [v for ctx in contexts for row in grids[ctx] for v in row]
 
     # The proof checks below guard the solver: they raise, never assert, so
     # an unproven verdict cannot escape under ``python -O`` either.
-    outcome = solve_equality_feasibility(_membership_matrix(*shape), values + [Fraction(1)])
+    outcome = solve_equality_feasibility(_membership_matrix(*shape), entries + [den])
     if outcome.solution is not None:
-        # A list, not a generator: tuple(generator) allocates spare slots and
-        # shrinks, and the shrunk tuple later idles in a per-size free list.
-        weights = tuple(
-            [
-                (strategy, weight)
-                for strategy, weight in zip(strategies, outcome.solution)
-                if weight
-            ]
-        )
-        decomposition = LocalDecomposition(scenario, weights)
-        if not _mixes_to(outcome.solution, hits, den, entries):
+        support = [(s, w.as_integer_ratio(), hit) for s, w, hit in zip(strategies, outcome.solution, hits) if w]
+        if not _mixes_to(support, entries):
             raise BellboxError(
                 "local decomposition does not reproduce the tested behavior",
                 code="INTERNAL",
             )
-        return MembershipResult(True, decomposition, None, tested, snap_error)
+        # The weights are the solution over den.  A list, not a generator: tuple(generator)
+        # allocates spare slots and shrinks, and the shrunk tuple later idles in a per-size free list.
+        weights = tuple([(strategy, Fraction(p, q * den)) for strategy, (p, q), _ in support])
+        return MembershipResult(True, LocalDecomposition(scenario, weights), None, tested, snap_error)
 
     if outcome.certificate is None:
         raise BellboxError("membership solver returned no certificate", code="INTERNAL")
@@ -426,21 +424,20 @@ def local_membership(behavior: Behavior) -> MembershipResult:
     return MembershipResult(False, None, certificate, tested, snap_error)
 
 
-def _mixes_to(weights: Sequence[Prob], hits: Sequence[tuple], den: int, entries: list) -> bool:
-    """Whether the weights, one per strategy, are >= 0 and mix the strategies into the entries
-    (numerators over ``den``: integers, or the exact entries over 1): each weight's numerator
-    over the weights' lcm goes to the one entry per context that its strategy hits.  Each
-    context of the entries sums to 1, so weights that pass sum to 1 as well."""
-    support = [(w.as_integer_ratio(), hit) for w, hit in zip(weights, hits) if w]
-    scale = math.lcm(*[q for (_, q), _ in support])
+def _mixes_to(support: Sequence[tuple], entries: list) -> bool:
+    """Whether the nonzero weights, ``(strategy, (p, q), hits)`` each, are >= 0 and mix their
+    strategies into the entries (integers, or exact entries): each weight's numerator over
+    the weights' lcm goes to the one entry per context that its strategy hits.  Every context
+    of the entries sums to the same total, den, so weights that pass sum to den as well."""
+    scale = math.lcm(*[q for _, (_, q), _ in support])
     mixed = [0] * len(entries)
-    for (p, q), hit in support:
+    for _, (p, q), hit in support:
         n = p * (scale // q)
         if n < 0:
             return False
         for i in hit:
             mixed[i] += n
-    return all([m * den == v * scale for m, v in zip(mixed, entries)])
+    return all([m == v * scale for m, v in zip(mixed, entries)])
 
 
 # ---------------------------------------------------------------------------

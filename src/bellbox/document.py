@@ -166,8 +166,15 @@ def fraction_text(value: Fraction) -> str:
     A numerator or denominator longer than ``MAX_LITERAL_DIGITS`` digits
     could not be read back, and CPython may refuse to print it, so such a
     value raises ``BellboxError`` ``TOO_LONG_TO_PRINT``, named through
-    ``printable``.
+    ``printable``.  A text of at most ``MAX_LITERAL_DIGITS`` characters is
+    returned at once: neither integer in it can be longer.
     """
+    try:
+        text = str(value)
+        if len(text) <= MAX_LITERAL_DIGITS:
+            return text
+    except ValueError:  # past CPython's int-string limit: the check below names the value
+        pass
     if abs(value.numerator) >= _LITERAL_LIMIT or value.denominator >= _LITERAL_LIMIT:
         raise BellboxError(
             f"{printable(value)} is too long to print: the format carries integers "

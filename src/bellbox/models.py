@@ -308,16 +308,22 @@ def _model_terms(model: Model) -> dict[Context, list[Term]]:
 
 
 def _mixture_table(scenario: Scenario, by_context: dict[Context, Sequence[Term]]) -> Behavior:
-    """The joint table of per-context terms known to be valid."""
-    table = {}
+    """The joint table of per-context terms known to be valid: built from its integers, with
+    its view, when every context is exact."""
+    grids = {}
     for ctx in scenario.contexts():
         terms, shape = by_context[ctx], (scenario.alice_outcomes[ctx.alice], scenario.bob_outcomes[ctx.bob])
         exact = all([isinstance(v, (int, Fraction)) for _, w, ra, rb in terms for v in (w, *ra, *rb)])
-        table[ctx] = (_exact_grid if exact else _float_grid)(terms, *shape)
-    return Behavior(scenario, table)
+        grids[ctx] = _exact_grid(terms, *shape) if exact else (_float_grid(terms, *shape), None)
+    if all([den for _, den in grids.values()]):
+        return Behavior._from_integers(scenario, grids)
+    return Behavior(scenario, {
+        ctx: cells if den is None else [[Fraction(n, den) for n in row] for row in cells]
+        for ctx, (cells, den) in grids.items()
+    })
 
 
-def _exact_grid(terms: Sequence[Term], na: int, nb: int) -> list[list[Fraction]]:
+def _exact_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[list[list[int]], int]:
     # Integer numerators over one den: weights, Alice entries and Bob entries each over
     # their own lcm, so every product is an integer over den, their product.
     ratio = [(w.as_integer_ratio(), [v.as_integer_ratio() for v in ra], [v.as_integer_ratio() for v in rb])
@@ -335,8 +341,7 @@ def _exact_grid(terms: Sequence[Term], na: int, nb: int) -> list[list[Fraction]]
                 row = cells[a]
                 for b, pb in enumerate(bn):
                     row[b] += wa * pb
-    den = lw * la * lb
-    return [[Fraction(n, den) for n in row] for row in cells]
+    return cells, lw * la * lb
 
 
 def _float_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[tuple[Prob, ...], ...]:
@@ -492,12 +497,19 @@ class QuantumDirections:
     bob_angles: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "alice_angles", tuple(float(a) for a in self.alice_angles))
-            object.__setattr__(self, "bob_angles", tuple(float(a) for a in self.bob_angles))
-        except OverflowError:
-            message = "measurement angle too large for a float"
-            raise ModelError(message, code="ANGLES_MISSING") from None
+        # float() also parses text, so text is refused before it gets there.
+        for name in ("alice_angles", "bob_angles"):
+            try:
+                angles = tuple(getattr(self, name))
+                if any([isinstance(a, (str, bytes, bytearray, memoryview)) for a in angles]):
+                    raise TypeError
+                object.__setattr__(self, name, tuple([float(a) for a in angles]))
+            except OverflowError:
+                message = "measurement angle too large for a float"
+                raise ModelError(message, code="ANGLES_MISSING") from None
+            except (TypeError, ValueError):
+                message = f"{name.replace('_', ' ')} must be a sequence of real numbers"
+                raise ModelError(message, code="ANGLES_MISSING") from None
         for angle in self.alice_angles + self.bob_angles:
             if not math.isfinite(angle):
                 raise ModelError(

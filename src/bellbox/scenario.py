@@ -150,8 +150,13 @@ class Scenario:
     bob_outcomes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alice_settings", tuple(self.alice_settings))
-        object.__setattr__(self, "bob_settings", tuple(self.bob_settings))
+        for name in ("alice_settings", "bob_settings", "alice_outcomes", "bob_outcomes"):
+            given = getattr(self, name)
+            try:
+                object.__setattr__(self, name, tuple(given))
+            except TypeError:
+                message = f"{name.replace('_', ' ')} must be iterable, not {type(given).__name__}"
+                raise ScenarioShapeError(message, code="SCENARIO_SHAPE") from None
         for name in ("alice_outcomes", "bob_outcomes"):
             counts = []
             for count in getattr(self, name):
@@ -170,7 +175,7 @@ class Scenario:
                 )
             if len(set(labels)) != len(labels):
                 raise ScenarioShapeError(
-                    f"duplicate setting label for {party}: {labels}",
+                    f"duplicate setting label for {party}: {printable(labels)}",
                     code="SCENARIO_SHAPE",
                 )
             if len(counts) != len(labels):
@@ -179,11 +184,12 @@ class Scenario:
                     f"{len(counts)} outcome counts",
                     code="SCENARIO_SHAPE",
                 )
-            if any(c < 2 for c in counts):
-                raise ScenarioShapeError(
-                    f"every setting needs at least 2 outcomes, got {counts}",
-                    code="SCENARIO_SHAPE",
-                )
+            for count in counts:
+                if count < 2:
+                    raise ScenarioShapeError(
+                        f"every {party} setting needs at least 2 outcomes, got {printable(count)}",
+                        code="SCENARIO_SHAPE",
+                    )
         # Built once; not a field, so equality, hashing and repr ignore it.
         contexts = [
             Context(x, y)
@@ -249,10 +255,13 @@ class Context:
 class Behavior:
     """Joint outcome probabilities ``table[ctx][a-1][b-1]`` for every context.
 
-    Instances are immutable; all operations return new objects.  A table fills two caches
-    itself, once, on first need: an exact one is read into one integer view (``_int_view``)
-    for validation, expectations, CHSH, the residual and the membership certificate, and a
-    table that ``validate_behavior`` passes with normalization is not checked again.
+    Instances are immutable; all operations return new objects.  A table holds two caches,
+    each filled once: an exact one's integer view (``_int_view``), read by validation,
+    expectations, CHSH, the residual and the membership test, and the fact that
+    ``validate_behavior`` passed it with normalization, after which it is not checked again.
+    A table made here fills both on first need.  The tables of ``exact_behavior`` and of the
+    membership snap are made from their integers (``_from_integers``): they come with their
+    view, and with their validity once an integer check of those integers has passed.
     """
 
     scenario: Scenario
@@ -281,6 +290,35 @@ class Behavior:
             for a, row in enumerate(rows, start=1):
                 for b, value in enumerate(row, start=1):
                     yield ctx, a, b, value
+
+    @classmethod
+    def _from_integers(cls, scenario: Scenario, parts: dict[Context, tuple]) -> "Behavior":
+        """The table of ``{ctx: (rows of integer numerators, den > 0)}``, built with its view.
+
+        Each context's den is divided by ``gcd(den, *numerators)``.  The lcm of those is then
+        the lcm of the entries' denominators, so the view is the one ``_int_view`` would build
+        (``False`` past ``_VIEW_BITS``).  The table is marked valid when ``_check_integers``
+        passes ``parts``; otherwise ``validate_behavior`` checks it in full.
+        """
+        count = sum([len(row) for rows, _ in parts.values() for row in rows])
+        table, reduced, den = {}, [], 1
+        for ctx, (rows, d) in parts.items():
+            table[ctx] = tuple([tuple([Fraction(n, d) for n in row]) for row in rows])
+            g = math.gcd(d, *[n for row in rows for n in row])
+            reduced.append((ctx, rows, g, d // g))
+            if den:
+                den = math.lcm(den, d // g)
+                if den.bit_length() * count > _VIEW_BITS:
+                    den = 0  # no view
+        behavior = cls(scenario, table)
+        view = (den, {}) if den else False
+        for ctx, rows, g, d in reduced if view else ():
+            k = den // d
+            view[1][ctx] = tuple([tuple([n // g * k for n in row]) for row in rows])
+        object.__setattr__(behavior, "_view", view)
+        if _check_integers(scenario, parts):
+            object.__setattr__(behavior, "_validated", True)
+        return behavior
 
     def _int_view(self) -> tuple[int, dict[Context, tuple[tuple[int, ...], ...]]] | None:
         """``(den, {ctx: rows of integer numerators over den})``, den the least common
@@ -333,6 +371,22 @@ def validate_behavior(behavior: Behavior, *, normalized: bool = True) -> Validat
     if result.ok and normalized:
         object.__setattr__(behavior, "_validated", True)
     return result
+
+
+def _check_integers(scenario: Scenario, parts: dict[Context, tuple]) -> bool:
+    """Whether ``{ctx: (rows of integer numerators, den)}`` passes ``_check_entries``, seen on
+    its integers alone: the scenario's contexts in its order, each of its shape, with
+    numerators >= 0 that sum to its den."""
+    if tuple(parts) != scenario.contexts():
+        return False
+    alice, bob = scenario.alice_outcomes, scenario.bob_outcomes
+    for ctx, (rows, den) in parts.items():
+        if [len(row) for row in rows] != [bob[ctx.bob]] * alice[ctx.alice]:
+            return False
+        numerators = [n for row in rows for n in row]
+        if min(numerators) < 0 or sum(numerators) != den:
+            return False
+    return True
 
 
 def _check_entries(behavior: Behavior, normalized: bool) -> Validation:

@@ -7,18 +7,20 @@ whose denominators add up to more than SNAP_DENOMINATOR, so a float, whose
 denominator is a power of two, is never exactly halfway between them; the
 exact midpoints ``(p + 0.5)/q`` below are the nearest cases.)
 ``_snap_behavior`` must agree with the ``Fraction``
-code it replaced (``_fraction_exact``), errors included.  A table builds its
-view itself on first read: the tables of ``models._mixture_table``,
-``_snap_behavior`` and ``strategy_behavior`` come without one and give the
-lowest view, and copies, equality, ``repr`` and value types must not see it.
-A table whose view would pass ``_VIEW_BITS`` has none and keeps the Fraction
-paths, so many contexts with unrelated denominators cost what they did.  A
-table that passes ``validate_behavior`` is checked once; a failing one every
-time.
+code it replaced (``_fraction_exact``), errors included.  The tables of
+``models._mixture_table`` and ``_snap_behavior`` are built from their
+integers (``Behavior._from_integers``) with the lowest view, and marked
+valid once their integers pass one check; other tables, such as those of
+``strategy_behavior``, build the same view themselves on first read.
+Copies, equality, ``repr`` and value types must not see it.  A table whose
+view would pass ``_VIEW_BITS`` has none and keeps the Fraction paths, so
+many contexts with unrelated denominators cost what they did.  A table that
+passes ``validate_behavior`` is checked once; a failing one every time.
 """
 
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -149,7 +151,8 @@ def _lowest_view(behavior: Behavior):
     }
 
 
-def _produced_tables():
+def _exact_tables():
+    """The exact tables of the builtin models and of 300 random model documents."""
     for name in BUILTIN_NAMES:
         document = builtin_document(name)
         if document.model() is not None:
@@ -161,18 +164,59 @@ def _produced_tables():
         if model is not None:
             count += 1
             yield models.exact_behavior(model)
+
+
+def _produced_tables():
+    """``(table, whether it was built with its view)``, for exact and strategy tables."""
+    for behavior in _exact_tables():
+        yield behavior, True
     for strategy in analysis.enumerate_strategies(STANDARD):
-        yield analysis.strategy_behavior(STANDARD, strategy)
+        yield analysis.strategy_behavior(STANDARD, strategy), False
 
 
 def test_produced_tables_build_the_view_that_the_table_gives():
     produced = list(_produced_tables())
     assert len(produced) >= 300
-    for behavior in produced:
-        assert "_view" not in vars(behavior)  # built on first read, not by the producer
+    for behavior, built_with_view in produced:
+        if built_with_view:
+            assert vars(behavior)["_view"] == _lowest_view(behavior)  # set by the producer
+        else:
+            assert "_view" not in vars(behavior)  # built on first read, not by the producer
         view = behavior._int_view()
         assert view == _fresh(behavior)._int_view() == _lowest_view(behavior)
         assert view[0] > 0
+
+
+def test_tables_built_from_integers_come_valid_with_their_view():
+    tables = list(_exact_tables())
+    singlets = itertools.islice(_float_tables(random.Random(1302)), 300)  # the first 300 are singlets
+    tables += [_snap_behavior(singlet)[0] for singlet in singlets]
+    assert len(tables) >= 600
+    for behavior in tables:
+        assert vars(behavior)["_view"] == _lowest_view(behavior)
+        assert scenario._check_entries(behavior, True).ok
+        assert behavior._validated
+
+
+def test_integers_that_fail_the_check_are_not_marked_valid():
+    half = ((1, 1), (1, 1))
+    cases = {
+        "unnormalized": {ctx: (half, 3) for ctx in STANDARD.contexts()},
+        "negative": {ctx: (((3, -1), (1, 1)), 4) if ctx.alice else (half, 4) for ctx in STANDARD.contexts()},
+        "missing context": {ctx: (half, 4) for ctx in STANDARD.contexts()[1:]},
+        "wrong shape": {ctx: (((1, 1, 0), (1, 1, 0)), 4) for ctx in STANDARD.contexts()},
+    }
+    for name, parts in cases.items():
+        built = Behavior._from_integers(STANDARD, parts)
+        assert not built._validated, name
+        plain = Behavior(STANDARD, {ctx: [[F(n, den) for n in row] for row in rows] for ctx, (rows, den) in parts.items()})
+        assert built == plain
+        with pytest.raises(InvalidBehaviorError) as expected:
+            analysis.classify(plain)
+        with pytest.raises(InvalidBehaviorError) as raised:
+            analysis.classify(built)
+        assert (str(raised.value), raised.value.code) == (str(expected.value), expected.value.code), name
+        assert not built._validated
 
 
 def _table(rng: random.Random) -> Behavior:
@@ -302,39 +346,50 @@ def test_a_table_past_the_view_budget_has_no_view():
 # ---------------------------------------------------------------------------
 
 
-def _spy_checks(monkeypatch) -> list[bool]:
-    """The ``normalized`` flag of every full check of a table, in call order."""
+def _spy_checks(monkeypatch, integers: bool = False) -> list[bool]:
+    """The ``normalized`` flag of every full check of a table, in call order.  With
+    ``integers``, the check a table built from its integers gets then counts too, as True:
+    it checks normalization."""
     calls = []
-    check = scenario._check_entries
+    check, check_integers = scenario._check_entries, scenario._check_integers
 
     def spy(behavior: Behavior, normalized: bool):
         calls.append(normalized)
         return check(behavior, normalized)
 
+    def integer_spy(shape: Scenario, parts: dict):
+        calls.append(True)
+        return check_integers(shape, parts)
+
     monkeypatch.setattr(scenario, "_check_entries", spy)
+    if integers:
+        monkeypatch.setattr(scenario, "_check_integers", integer_spy)
     return calls
 
 
 def test_a_valid_table_is_checked_once(monkeypatch):
-    calls = _spy_checks(monkeypatch)
-    tables = [
-        models.exact_behavior(models.socks_off()),
-        models.exact_behavior(models.socks_on()),
-        singlet_behavior(models.singlet_optimal_directions()),
+    calls = _spy_checks(monkeypatch, integers=True)
+    # The exact tables are checked once, as they are built.  The singlet is checked once,
+    # and so is each of the two snapped tables that classify and local_membership test.
+    cases = [
+        (lambda: models.exact_behavior(models.socks_off()), 1),
+        (lambda: models.exact_behavior(models.socks_on()), 1),
+        (lambda: singlet_behavior(models.singlet_optimal_directions()), 3),
     ]
-    for behavior in tables:
+    for build, tables in cases:
         calls.clear()
+        behavior = build()
         analysis.classify(behavior)
         nosignaling_residual(behavior)
         analysis.local_membership(behavior)
         marginals(behavior)
         assert require_valid(behavior) is behavior
         assert validate_behavior(behavior) == validate_behavior(behavior, normalized=False) == Validation(True)
-        assert calls == [True]
+        assert calls == [True] * tables
 
 
 def test_the_cli_checks_its_table_once(monkeypatch):
-    calls = _spy_checks(monkeypatch)
+    calls = _spy_checks(monkeypatch, integers=True)
     for command in ("nosig", "membership", "classify"):
         calls.clear()
         assert run_cli([command, "socks-off"]) == 0

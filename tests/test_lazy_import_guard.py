@@ -1,4 +1,7 @@
-"""The package, the CLI, ``document`` and ``analysis`` import no heavy layer at module level.
+"""The package, the CLI and its table modules import no heavy layer at module level.
+
+The guarded modules are the package, ``cli``, ``document``, ``models``,
+``scenario`` and ``analysis``: the first five load at CLI start-up.
 
 ``analysis`` and ``sampler`` load on first use: through
 ``bellbox.__getattr__`` for library callers and inside the CLI handlers
@@ -13,7 +16,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bellbox"
-GUARDED = ("__init__.py", "cli.py", "document.py", "analysis.py")
+GUARDED = ("__init__.py", "cli.py", "document.py", "analysis.py", "models.py", "scenario.py")
 HEAVY = {"analysis", "simplex", "sampler", "_parser"}
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -389,6 +390,24 @@ class TestSingletBehavior:
     def test_nonfinite_angle_rejected(self):
         with pytest.raises(ModelError):
             QuantumDirections((float("nan"),), (0.0,))
+
+    @pytest.mark.parametrize("angle", ["1.5", "x", None, 1j, [0.0]], ids=["numeric-str", "str", "none", "complex", "list"])
+    def test_angle_that_is_not_a_real_number_rejected(self, angle):
+        for angles in (((angle,), (0.0,)), ((0.0,), (angle,))):
+            with pytest.raises(ModelError) as exc:
+                QuantumDirections(*angles)
+            assert exc.value.code == "ANGLES_MISSING"
+            assert "must be a sequence of real numbers" in str(exc.value)
+
+    def test_angles_that_are_not_iterable_rejected(self):
+        with pytest.raises(ModelError) as exc:
+            QuantumDirections(0.0, (0.0,))
+        assert exc.value.code == "ANGLES_MISSING"
+
+    def test_real_angles_of_every_kind_accepted(self):
+        directions = QuantumDirections((0, Fraction(1, 2)), (True, 0.25, Decimal("0.75")))
+        assert directions == QuantumDirections((0.0, 0.5), (1.0, 0.25, 0.75))
+        assert {type(a) for a in directions.alice_angles + directions.bob_angles} == {float}
 
     @pytest.mark.parametrize("angle", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
     def test_angle_too_large_for_a_float_rejected(self, angle):

@@ -1,6 +1,10 @@
 """Membership verdicts are checked proofs, also when the solver misbehaves.
 
 The checks must raise, not assert, so they also hold under ``python -O``.
+The solver is handed the tested table's integer view, so its solution is den
+times the weights; each bogus outcome below is written as weights and scaled
+the same way (``_as_solved``), so it differs from the honest solution only by
+its change.
 """
 
 import os
@@ -42,6 +46,16 @@ UNUSED = HONEST.index(0)
 EPS = F(1, 10**9)
 
 
+def _as_solved(outcome, behavior):
+    """``outcome`` as the solver would return it for ``behavior``: its solution, if any, times
+    the den of the table's integer view (1 when it has none).  A certificate is unscaled."""
+    if outcome.solution is None:
+        return outcome
+    view = behavior._int_view()
+    den = view[0] if view else 1
+    return FeasibilityOutcome(tuple([den * w for w in outcome.solution]), None)
+
+
 def _changed(changes):
     """socks-on's honest weights plus ``{strategy index: change}``, as a solver outcome."""
     weights = list(HONEST)
@@ -71,12 +85,27 @@ BOGUS = {
 }
 
 
+@pytest.mark.parametrize("view_bits", [None, 0], ids=["view", "no-view"])
+def test_the_honest_solution_is_den_times_the_honest_weights(monkeypatch, view_bits):
+    if view_bits is not None:
+        monkeypatch.setattr(scenario, "_VIEW_BITS", view_bits)
+    behavior = exact_behavior(socks_on())
+    view = behavior._int_view()
+    assert (view[0] == 4) if view_bits is None else not view  # so both scales are tried
+    solve, solved = simplex.solve_equality_feasibility, []
+    monkeypatch.setattr(simplex, "solve_equality_feasibility", lambda m, b: solved.append(solve(m, b)) or solved[-1])
+    local_membership(behavior)
+    assert solved == [_as_solved(FeasibilityOutcome(tuple(HONEST), None), behavior)]
+
+
 @pytest.mark.parametrize("case", sorted(BOGUS))
 def test_unproven_verdict_raises_internal(monkeypatch, case):
     model, outcome = BOGUS[case]
-    monkeypatch.setattr(simplex, "solve_equality_feasibility", _solver_returning(outcome))
+    behavior = exact_behavior(model())
+    assert behavior._int_view()
+    monkeypatch.setattr(simplex, "solve_equality_feasibility", _solver_returning(_as_solved(outcome, behavior)))
     with pytest.raises(BellboxError) as exc:
-        local_membership(exact_behavior(model()))
+        local_membership(behavior)
     assert exc.value.code == "INTERNAL"
 
 
@@ -86,9 +115,9 @@ def test_unproven_verdict_raises_internal_without_an_integer_view(monkeypatch, c
     # Fraction entries over 1, not against integer numerators.
     monkeypatch.setattr(scenario, "_VIEW_BITS", 0)
     model, outcome = BOGUS[case]
-    monkeypatch.setattr(simplex, "solve_equality_feasibility", _solver_returning(outcome))
     behavior = exact_behavior(model())
     assert not behavior._int_view()
+    monkeypatch.setattr(simplex, "solve_equality_feasibility", _solver_returning(_as_solved(outcome, behavior)))
     with pytest.raises(BellboxError) as exc:
         local_membership(behavior)
     assert exc.value.code == "INTERNAL"

@@ -77,6 +77,26 @@ class TestScenario:
             Scenario(("A",), ("B",), (count,), (2,))
         assert exc.value.code == "SCENARIO_SHAPE"
 
+    @pytest.mark.parametrize(
+        "fields",
+        [(("A",), ("B",), 2, (2,)), (("A",), ("B",), (2,), None), (1, ("B",), (2,), (2,)), (("A",), 0.5, (2,), (2,))],
+        ids=["alice-outcomes", "bob-outcomes", "alice-settings", "bob-settings"],
+    )
+    def test_non_iterable_fields_rejected(self, fields):
+        with pytest.raises(ScenarioShapeError) as exc:
+            Scenario(*fields)
+        assert exc.value.code == "SCENARIO_SHAPE"
+        assert "must be iterable" in str(exc.value)
+
+    def test_message_names_a_count_too_long_to_print(self):
+        with pytest.raises(ScenarioShapeError) as exc:
+            Scenario(("A", "A'"), ("B",), (10**5000, 1), (2,))
+        assert exc.value.code == "SCENARIO_SHAPE"
+        assert str(exc.value) == "every alice setting needs at least 2 outcomes, got 1"
+        with pytest.raises(ScenarioShapeError) as exc:
+            Scenario(("A", "A'"), ("B",), (2, -(10**5000)), (2,))
+        assert str(exc.value) == "every alice setting needs at least 2 outcomes, got -<5001-digit integer>"
+
     def test_integer_like_outcome_counts_stored_as_int(self):
         numpy = pytest.importorskip("numpy")
 

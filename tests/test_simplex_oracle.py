@@ -208,7 +208,7 @@ def test_the_membership_matrix_is_17_rows_of_16_ints(monkeypatch):
     assert systems[0][1] == systems[1][1]
 
 
-def test_snapped_singlets_with_long_denominators_match(monkeypatch):
+def _long_denominator_behaviors():
     # Snapped and renormalized singlet tables carry denominators of 20+
     # digits; mixing them with each other and with the PR box compounds them.
     rand = random.Random(4646)
@@ -223,13 +223,18 @@ def test_snapped_singlets_with_long_denominators_match(monkeypatch):
     for _ in range(12):
         q = F(rand.randint(1, 10**6 - 1), 10**6 + rand.randint(1, 10**3))
         behaviors.append(mix([(q, rand.choice(snapped)), (1 - q, rand.choice(snapped + [_pr_box()]))]))
-    systems = _recorded_systems(monkeypatch, behaviors)
-    assert max(v.denominator for _, rhs, _ in systems for v in rhs) > 10**25
+    return behaviors
+
+
+def test_snapped_singlets_with_long_denominators_match(monkeypatch):
+    systems = _recorded_systems(monkeypatch, _long_denominator_behaviors())
+    # The right-hand sides are the tables' integer views: numerators over one den, then den.
+    assert max(v for _, rhs, _ in systems for v in rhs) > 10**25
     assert {outcome.feasible for _, _, outcome in systems} == {True, False}
     _assert_match_the_fraction_solver(systems)
 
 
-def test_zero_entries_and_degenerate_ties_match(monkeypatch):
+def _degenerate_behaviors():
     # Deterministic points and mixtures of them.  In sparse mixtures most
     # rhs entries are zero, so many ratio tests tie at 0; dense ones have
     # many decompositions.  Either way the basis-index rule decides.
@@ -245,7 +250,11 @@ def test_zero_entries_and_degenerate_ties_match(monkeypatch):
             behaviors.append(mix([(w / total, p) for w, p in zip(weights, picked)]))
     for k in (1, 2, 3):
         behaviors.append(mix([(F(k, 4), _pr_box()), (1 - F(k, 4), rand.choice(points))]))
-    systems = _recorded_systems(monkeypatch, behaviors)
+    return behaviors
+
+
+def test_zero_entries_and_degenerate_ties_match(monkeypatch):
+    systems = _recorded_systems(monkeypatch, _degenerate_behaviors())
     assert sum(v == 0 for _, rhs, _ in systems for v in rhs) > len(systems) * 4
     assert {outcome.feasible for _, _, outcome in systems} == {True, False}
     _assert_match_the_fraction_solver(systems)
@@ -260,6 +269,25 @@ def test_relabeled_scenario_matches(monkeypatch):
     for (_, rhs, outcome), (_, moved_rhs, moved_outcome) in zip(systems[:half], systems[half:]):
         assert (rhs, outcome) == (moved_rhs, moved_outcome)
     _assert_match_the_fraction_solver(systems[half:])
+
+
+def test_integer_right_hand_sides_scale_the_fraction_solution(monkeypatch):
+    # Membership solves on the table's integer view, entries + [den]: b is den times the
+    # table's values, so the solution is den times theirs and the certificate is theirs.
+    behaviors = list(_membership_behaviors()) + _long_denominator_behaviors() + _degenerate_behaviors()
+    systems = _recorded_systems(monkeypatch, behaviors)
+    assert len(systems) == len(behaviors)
+    assert max(rhs[-1] for _, rhs, _ in systems) > 10**25
+    assert {outcome.feasible for _, _, outcome in systems} == {True, False}
+    for matrix, rhs, outcome in systems:
+        den = rhs[-1]
+        assert all(type(v) is int for v in rhs) and den > 0
+        expected = solve_equality_feasibility(matrix, [F(v, den) for v in rhs])
+        assert outcome.certificate == expected.certificate
+        if expected.feasible:
+            assert outcome.solution == tuple([den * x for x in expected.solution])
+        else:
+            assert outcome.solution is None
 
 
 def test_one_constraint_matrix_serves_many_right_hand_sides():

@@ -173,7 +173,12 @@ class Scenario:
                 raise ScenarioShapeError(
                     f"{party} needs at least one setting", code="SCENARIO_SHAPE"
                 )
-            if len(set(labels)) != len(labels):
+            try:
+                distinct = len(set(labels))
+            except TypeError:
+                message = f"{party} setting labels must be hashable: {printable(labels)}"
+                raise ScenarioShapeError(message, code="SCENARIO_SHAPE") from None
+            if distinct != len(labels):
                 raise ScenarioShapeError(
                     f"duplicate setting label for {party}: {printable(labels)}",
                     code="SCENARIO_SHAPE",
@@ -221,7 +226,7 @@ class Scenario:
             return self.settings(party).index(label)
         except ValueError:
             raise ScenarioShapeError(
-                f"{party} has no setting {label!r}", code="SCENARIO_SHAPE"
+                f"{party} has no setting {printable(label)}", code="SCENARIO_SHAPE"
             ) from None
 
     def contexts(self) -> tuple["Context", ...]:

@@ -11,13 +11,22 @@ pivot rule makes termination unconditional.
 The arithmetic is fraction-free.  The tableau's structural and artificial
 columns, ``[A | I]`` and its objective row, are lists of Python ints over
 one positive denominator per row, divided by the gcd of their entries after
-each pivot.  They depend on A alone, so a ``ConstraintMatrix`` builds their
-starting form once and every solve over it only copies it.  The right-hand
-side is a separate column of rationals in lowest terms, so b's
-denominators never enter the integer rows.  Ratios are compared by cross
-multiplication, so no value is ever rounded and the pivot sequence, basis,
-solution and certificate are exactly those of the same method carried out
-on ``fractions.Fraction`` entries.
+each pivot.  The right-hand side is a separate column of rationals in
+lowest terms, so b's denominators never enter the integer rows.  Ratios are
+compared by cross multiplication, so no value is ever rounded and the pivot
+sequence, basis, solution and certificate are exactly those of the same
+method carried out on ``fractions.Fraction`` entries.
+
+Kept in lowest terms, the rows are fixed by A, the rows' signs and the
+ordered basis, never by b.  So a ``ConstraintMatrix`` builds their starting
+form once and keeps a step store: per state (signs, ordered basis) the
+entering column over one denominator, all that the ratio test and b's update
+read, or at the end the certificate's y.  A solve pivots b alone while its
+states are stored; at its first new state it rebuilds the rows by replaying
+its pivots, then carries them and records each new state.  The store takes
+``_STEP_CAP`` states (solves running at once may each add one more), keys
+are bytes when every index is below 256, and equal steps are kept once: full,
+for the 17-row membership matrix, it takes at most ~1.5 MB.
 """
 
 from __future__ import annotations
@@ -25,9 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
+
+# The most states one ConstraintMatrix's step store keeps.
+_STEP_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -49,6 +62,8 @@ class ConstraintMatrix(tuple):
     integer row ``A[i] * scale[i]``.  ``tableau[i]`` is the phase-1 row
     ``[a_int[i] | scale[i] e_i]`` over ``scale[i]``, and ``z`` over
     ``z_den`` the starting objective row when no row is sign-flipped.
+    ``_steps`` is the step store, keyed by ``_pack``, each distinct step
+    kept once in ``_shared``.
     """
 
     def __new__(cls, matrix: Sequence[Sequence[Rational]]) -> "ConstraintMatrix":
@@ -71,6 +86,9 @@ class ConstraintMatrix(tuple):
         )
         z, self.z_den = _phase1_row(self.a_int, self.scale, [1] * m)
         self.z = tuple(z)
+        self._pack = bytes if n + m <= 256 else tuple
+        self._steps: dict = {}
+        self._shared: dict = {}
         return self
 
 
@@ -95,36 +113,36 @@ def solve_equality_feasibility(
     # rhs is >= 0; sign[i] maps the dual back.  b[i] is the rhs in lowest
     # terms, not scaled by the row's denominator.
     b_orig = [_ratio(v) for v in rhs]
-    rows = [list(row) for row in system.tableau]
-    sign = [1] * m
-    b: list[tuple[int, int]] = []
-    for i, (p, q) in enumerate(b_orig):
-        if p < 0:
-            sign[i] = -1
-            rows[i][:n] = [-v for v in rows[i][:n]]
-        b.append((abs(p), q))
-    if -1 in sign:
-        z, z_den = _phase1_row(system.a_int, system.scale, sign)
-    else:
-        z, z_den = list(system.z), system.z_den
-    dens = list(system.scale)
-    width = n + m
-    basis = [n + i for i in range(m)]
+    b = [(abs(p), q) for p, q in b_orig]
+    sign = [-1 if p < 0 else 1 for p, _ in b_orig]
+    pack, steps = system._pack, system._steps
+    key_tail = pack([i for i in range(m) if sign[i] < 0])
+    basis = (bytearray if pack is bytes else list)(range(n, n + m))
+    path: list[tuple[int, int]] = []
+    rows = None
 
-    # z[j] / z_den holds c_B B^-1 A_j - c_j of the phase-1 objective (the
-    # sum of the artificials); entering columns are those with z[j] > 0.
+    # Each step reads the entering column over one denominator from the
+    # store, or from the rows, which are built at the first state it lacks.
     while True:
-        enter = next((j for j in range(width) if z[j] > 0), None)
+        key = pack(basis) + key_tail
+        step = steps.get(key)
+        if step is None:
+            if rows is None:
+                rows, dens, z, z_den = _replay(system, sign, path)
+            step = _step(rows, dens, z)
+            if len(steps) < _STEP_CAP:
+                step = steps.setdefault(key, system._shared.setdefault(step, step))
+        enter, column, den = step
         if enter is None:
             break
-        # Leaving row: smallest (b_i * dens[i] / coeff, basis index) over
-        # coeff > 0, compared by cross multiplication of positive terms.
+        # Leaving row: smallest (b_i / column_i, basis index) over
+        # column_i > 0, compared by cross multiplication of positive terms.
         pivot_row = None
-        for i in range(m):
-            coeff = rows[i][enter]
+        nonzero = list(compress(range(m), column))
+        for i in nonzero:
+            coeff = column[i]
             if coeff > 0:
-                p, q = b[i]
-                ratio_num, ratio_den = p * dens[i], q * coeff
+                ratio_num, ratio_den = b[i][0], b[i][1] * coeff
                 if pivot_row is None:
                     pivot_row, best_num, best_den = i, ratio_num, ratio_den
                     continue
@@ -134,13 +152,23 @@ def solve_equality_feasibility(
                     pivot_row, best_num, best_den = i, ratio_num, ratio_den
         if pivot_row is None:
             raise AssertionError("phase-1 objective cannot be unbounded")
-        z, z_den = _pivot(rows, dens, b, z, z_den, pivot_row, enter)
+        # The pivot row's entry is c / den and b_r becomes b_r * den / c;
+        # another row's is f / den and b' becomes b' - f * b_r / den.
+        p, q = b[pivot_row]
+        b_num, b_den = b[pivot_row] = _lowest(p * den, q * column[pivot_row])
+        if b_num:
+            for i in nonzero:
+                if i != pivot_row:
+                    p, q = b[i]
+                    b[i] = _lowest(p * den * b_den - column[i] * b_num * q, q * den * b_den)
+        if rows is not None:
+            z, z_den = _pivot(rows, dens, z, z_den, pivot_row, enter, nonzero)
         basis[pivot_row] = enter
+        path.append((pivot_row, enter))
 
     # The phase-1 value c_B B^-1 b is the sum of the (non-negative) rhs of
     # the rows whose basic variable is artificial.
-    artificial = [k for k in range(m) if basis[k] >= n]
-    if not any(b[k][0] for k in artificial):
+    if not any(b[k][0] for k in range(m) if basis[k] >= n):
         solution = [Fraction(0)] * n
         for i, var in enumerate(basis):
             if var < n:
@@ -149,16 +177,52 @@ def solve_equality_feasibility(
 
     # Infeasible: y = c_B B^-1 read from the artificial block, whose final
     # content is B^-1 itself; summed over the rows with artificial basics.
-    y_den = math.lcm(*[dens[k] for k in artificial])
-    y = [
-        sum(rows[k][n + i] * (y_den // dens[k]) for k in artificial)
-        for i in range(m)
-    ]
+    # It is stored with the final state the first time it is needed.
+    if column is None:
+        if rows is None:
+            rows, dens, _, _ = _replay(system, sign, path)
+        artificial = [k for k in range(m) if basis[k] >= n]
+        den = math.lcm(*[dens[k] for k in artificial])
+        column = tuple([sum([rows[k][n + i] * (den // dens[k]) for k in artificial]) for i in range(m)])
+        if key in steps:
+            step = (None, column, den)
+            steps[key] = system._shared.setdefault(step, step)
     # A list, not a generator: tuple(generator) allocates spare slots and
     # shrinks, and the shrunk tuple later idles in a per-size free list.
-    certificate = tuple([Fraction(sign[i] * y[i], y_den) for i in range(m)])
+    certificate = tuple([Fraction(sign[i] * column[i], den) for i in range(m)])
     _check_certificate(system, b_orig, certificate)
     return FeasibilityOutcome(None, certificate)
+
+
+def _replay(system: ConstraintMatrix, sign: list[int], path: list[tuple[int, int]]) -> tuple:
+    """The rows, their denominators and the z-row after the pivots in ``path``."""
+    n = system.n
+    rows = [list(row) for row in system.tableau]
+    for i, s in enumerate(sign):
+        if s < 0:
+            rows[i][:n] = [-v for v in rows[i][:n]]
+    if -1 in sign:
+        z, z_den = _phase1_row(system.a_int, system.scale, sign)
+    else:
+        z, z_den = list(system.z), system.z_den
+    dens = list(system.scale)
+    for row, col in path:
+        nonzero = [i for i, current in enumerate(rows) if current[col]]
+        z, z_den = _pivot(rows, dens, z, z_den, row, col, nonzero)
+    return rows, dens, z, z_den
+
+
+def _step(rows: list[list[int]], dens: list[int], z: list[int]) -> tuple:
+    """A state's step: the entering column, the first j with z[j] > 0 (z is
+    c_B B^-1 A_j - c_j of the phase-1 objective), and its entries over one
+    denominator; at the end, None."""
+    enter = next((j for j, v in enumerate(z) if v > 0), None)
+    if enter is None:
+        return None, None, 1
+    if dens.count(1) == len(dens):
+        return enter, tuple([row[enter] for row in rows]), 1
+    den = math.lcm(*dens)
+    return enter, tuple([row[enter] * (den // d) for row, d in zip(rows, dens)]), den
 
 
 def _ratio(value: object) -> tuple[int, int]:
@@ -189,37 +253,30 @@ def _phase1_row(
 
 
 def _pivot(
-    rows: list[list[int]],
-    dens: list[int],
-    b: list[tuple[int, int]],
-    z: list[int],
-    z_den: int,
-    row: int,
-    col: int,
+    rows: list[list[int]], dens: list[int], z: list[int], z_den: int, row: int, col: int, nonzero: list[int]
 ) -> tuple[list[int], int]:
-    """Pivot on a positive entry; update rows and rhs in place, return the new z-row.
+    """Pivot on a positive entry; update rows in place, return the new z-row.
 
     The pivot row r / d with entry c / d divides to r / c, reduced to
-    pivot / p, and its rhs b_r to b_r * d / c.  Any other row r' / e with
-    entry f / e becomes (r' * p - f * pivot) / (e * p), reduced, and its
-    rhs b' - (f / e) * b_r, with b_r the pivot row's new rhs.  Since p > 0,
-    every denominator stays positive and a numerator's sign is its value's
-    sign, which the entering and leaving tests rely on.
+    pivot / p.  Any other row r' / e with entry f / e, which ``nonzero``
+    lists when f != 0, becomes (r' * p - f * pivot) / (e * p), reduced.
+    Since p > 0, every denominator stays positive and a numerator's sign is
+    its value's sign, which the entering and leaving tests rely on.
     """
-    c = rows[row][col]
-    pivot, p = _reduce(rows[row], c)
-    rows[row] = pivot
-    b_num, b_den = _lowest(b[row][0] * dens[row], b[row][1] * c)
-    dens[row], b[row] = p, (b_num, b_den)
-    support = [j for j, w in enumerate(pivot) if w]
-    for i, current in enumerate(rows):
-        f = current[col]
-        if i != row and f != 0:
-            e = dens[i]
-            rows[i], dens[i] = _eliminate(current, e, pivot, p, f, support)
-            if b_num:
-                num, den = b[i]
-                b[i] = _lowest(num * e * b_den - f * b_num * den, den * e * b_den)
+    pivot, p = _reduce(rows[row], rows[row][col])
+    rows[row], dens[row] = pivot, p
+    support = list(compress(range(len(pivot)), pivot))
+    for i in nonzero:
+        if i != row:
+            current = rows[i]
+            if p == 1 and dens[i] == 1:
+                # Over 1 and by a unit pivot, as on 0/1 incidence rows, only the
+                # support changes, in place, and the row stays reduced.
+                f = current[col]
+                for j in support:
+                    current[j] -= f * pivot[j]
+            else:
+                rows[i], dens[i] = _eliminate(current, dens[i], pivot, p, current[col], support)
     f = z[col]
     if f == 0:
         return z, z_den

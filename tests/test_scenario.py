@@ -59,6 +59,15 @@ class TestScenario:
             Scenario.binary(("A", "A"), ("B", "B'"))
         assert exc.value.code == "SCENARIO_SHAPE"
 
+    @pytest.mark.parametrize(
+        "fields", [(([1],), ("B",), (2,), (2,)), (("A",), ("B", {}), (2,), (2, 2))], ids=["alice", "bob"]
+    )
+    def test_unhashable_labels_rejected(self, fields):
+        with pytest.raises(ScenarioShapeError) as exc:
+            Scenario(*fields)
+        assert exc.value.code == "SCENARIO_SHAPE"
+        assert "must be hashable" in str(exc.value)
+
     def test_empty_party_rejected(self):
         with pytest.raises(ScenarioShapeError):
             Scenario.binary((), ("B",))
@@ -111,6 +120,12 @@ class TestScenario:
         assert STANDARD_SCENARIO.setting_index("alice", "A'") == 1
         with pytest.raises(ScenarioShapeError):
             STANDARD_SCENARIO.setting_index("bob", "nope")
+
+    def test_unknown_label_too_long_to_print(self):
+        with pytest.raises(ScenarioShapeError) as exc:
+            Scenario(("A",), ("B",), (2,), (2,)).setting_index("alice", 10**5000)
+        assert exc.value.code == "SCENARIO_SHAPE"
+        assert str(exc.value) == "alice has no setting <5001-digit integer>"
 
     def test_is_binary(self):
         assert STANDARD_SCENARIO.is_binary() and STANDARD_SCENARIO.is_two_by_two()

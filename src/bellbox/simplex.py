@@ -25,8 +25,9 @@ read, or at the end the certificate's y.  A solve pivots b alone while its
 states are stored; at its first new state it rebuilds the rows by replaying
 its pivots, then carries them and records each new state.  The store takes
 ``_STEP_CAP`` states (solves running at once may each add one more), keys
-are bytes when every index is below 256, and equal steps are kept once: full,
-for the 17-row membership matrix, it takes at most ~1.5 MB.
+are bytes when every index is below 256 (else tuples, 8 bytes an index),
+and equal steps are kept once: full, for the 17-row membership matrix, it
+takes at most ~1.5 MB; a wider matrix's states cost more.
 """
 
 from __future__ import annotations
@@ -220,6 +221,8 @@ def _step(rows: list[list[int]], dens: list[int], z: list[int]) -> tuple:
     if enter is None:
         return None, None, 1
     if dens.count(1) == len(dens):
+        # Every row over 1, as on the membership matrix: math.lcm over all
+        # the rows costs more than the rest of the step.
         return enter, tuple([row[enter] for row in rows]), 1
     den = math.lcm(*dens)
     return enter, tuple([row[enter] * (den // d) for row, d in zip(rows, dens)]), den
@@ -268,15 +271,7 @@ def _pivot(
     support = list(compress(range(len(pivot)), pivot))
     for i in nonzero:
         if i != row:
-            current = rows[i]
-            if p == 1 and dens[i] == 1:
-                # Over 1 and by a unit pivot, as on 0/1 incidence rows, only the
-                # support changes, in place, and the row stays reduced.
-                f = current[col]
-                for j in support:
-                    current[j] -= f * pivot[j]
-            else:
-                rows[i], dens[i] = _eliminate(current, dens[i], pivot, p, current[col], support)
+            rows[i], dens[i] = _eliminate(rows[i], dens[i], pivot, p, rows[i][col], support)
     f = z[col]
     if f == 0:
         return z, z_den

@@ -172,3 +172,15 @@ def test_threads_sharing_a_matrix_give_the_serial_results(monkeypatch):
     for rhs in rhss:
         solve_equality_feasibility(alone, rhs)
     assert shared._steps == alone._steps
+
+
+def test_matrices_wider_than_a_byte_agree():
+    # n + m > 256: basis indices pass 255, so the store's keys are tuples.
+    # Non-negative entries make every rhs with a negative entry infeasible.
+    rand = random.Random(257)
+    matrix = [[rand.choice((0, 0, 1, 2, F(1, 3))) for _ in range(260)] for _ in range(4)]
+    rhss = [[F(rand.randint(-3, 5), rand.randint(1, 3)) for _ in range(4)] for _ in range(30)]
+    shared = _assert_three_ways_agree(matrix, rhss)
+    assert shared._pack is tuple
+    assert any(max(key) >= 256 for key in shared._steps)
+    assert {solve_equality_feasibility(shared, rhs).feasible for rhs in rhss} == {True, False}

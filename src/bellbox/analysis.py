@@ -323,12 +323,12 @@ def _snap_behavior(behavior: Behavior) -> tuple[Behavior, float]:
 
     Float entries are snapped to denominators <=
     SNAP_DENOMINATOR (``_snap``) and each context renormalized exactly: its
-    integer numerators over their total, from which the table is built
-    with its view.  Contexts further than SIGNALING_ATOL from normalization
+    integer numerators over their total, each entry ``Fraction(n, total)``.
+    Contexts further than SIGNALING_ATOL from normalization
     are rejected.
     """
     scenario = behavior.scenario
-    parts = {}
+    table = {}
     snap_error = 0.0
     for ctx in scenario.contexts():
         rows = behavior.table[ctx]
@@ -345,8 +345,8 @@ def _snap_behavior(behavior: Behavior) -> tuple[Behavior, float]:
         for row, orig_row in zip(nums, rows):
             for n, orig in zip(row, orig_row):
                 snap_error = max(snap_error, abs(n / total - float(orig)))
-        parts[ctx] = nums, total
-    return Behavior._from_integers(scenario, parts), snap_error
+        table[ctx] = [[Fraction(n, total) for n in row] for row in nums]
+    return Behavior(scenario, table), snap_error
 
 
 def local_membership(behavior: Behavior) -> MembershipResult:

@@ -308,19 +308,16 @@ def _model_terms(model: Model) -> dict[Context, list[Term]]:
 
 
 def _mixture_table(scenario: Scenario, by_context: dict[Context, Sequence[Term]]) -> Behavior:
-    """The joint table of per-context terms known to be valid: built from its integers, with
-    its view, when every context is exact."""
-    grids = {}
+    """The joint table of per-context terms known to be valid."""
+    table = {}
     for ctx in scenario.contexts():
         terms, shape = by_context[ctx], (scenario.alice_outcomes[ctx.alice], scenario.bob_outcomes[ctx.bob])
-        exact = all([isinstance(v, (int, Fraction)) for _, w, ra, rb in terms for v in (w, *ra, *rb)])
-        grids[ctx] = _exact_grid(terms, *shape) if exact else (_float_grid(terms, *shape), None)
-    if all([den for _, den in grids.values()]):
-        return Behavior._from_integers(scenario, grids)
-    return Behavior(scenario, {
-        ctx: cells if den is None else [[Fraction(n, den) for n in row] for row in cells]
-        for ctx, (cells, den) in grids.items()
-    })
+        if all([isinstance(v, (int, Fraction)) for _, w, ra, rb in terms for v in (w, *ra, *rb)]):
+            cells, den = _exact_grid(terms, *shape)
+            table[ctx] = [[Fraction(n, den) for n in row] for row in cells]
+        else:
+            table[ctx] = _float_grid(terms, *shape)
+    return Behavior(scenario, table)
 
 
 def _exact_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[list[list[int]], int]:

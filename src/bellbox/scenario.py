@@ -260,27 +260,40 @@ class Context:
 class Behavior:
     """Joint outcome probabilities ``table[ctx][a-1][b-1]`` for every context.
 
-    Instances are immutable; all operations return new objects.  A table holds two caches,
-    each filled once: an exact one's integer view (``_int_view``), read by validation,
-    expectations, CHSH, the residual and the membership test, and the fact that
-    ``validate_behavior`` passed it with normalization, after which it is not checked again.
-    A table made here fills both on first need.  The tables of ``exact_behavior`` and of the
-    membership snap are made from their integers (``_from_integers``): they come with their
-    view, and with their validity once an integer check of those integers has passed.
+    Instances are immutable; all operations return new objects.  An exact table is made with
+    its integer view (``_int_view``), read by validation, expectations, CHSH, the residual and
+    the membership test, and is marked valid when that view passes the one integer check
+    (``_check_integers``).  A table that fails it, and a table with a float, is checked in full
+    by ``validate_behavior``, which remembers a pass with normalization.
     """
 
     scenario: Scenario
     table: dict[Context, tuple[tuple[Prob, ...], ...]]
 
-    # ``_view`` is the view or False (none); ``_validated`` is True once ``validate_behavior``
-    # passed the table.  Not fields, so ``==``, repr and ``replace`` skip them; two threads may
-    # set equal values, and the sealed table keeps both true.
-    _view = None
+    # ``_view`` is the view or False (none); ``_validated`` is True once the table passed.  Not
+    # fields, so ``==``, repr and ``replace`` skip them.  Only a float table sets
+    # ``_validated`` after it is made: two threads may set it, to the same value.
+    _view = False
     _validated = False
 
     def __post_init__(self) -> None:
         frozen = {ctx: tuple([tuple(row) for row in rows]) for ctx, rows in self.table.items()}
         object.__setattr__(self, "table", SealedDict(frozen))
+        values = [v for rows in frozen.values() for row in rows for v in row]
+        if not all([is_exact(v) for v in values]):
+            return
+        den = 1
+        for q in {v.denominator for v in values}:
+            den = math.lcm(den, q)
+            if den.bit_length() * len(values) > _VIEW_BITS:
+                return  # past the budget: no view
+        view = {
+            ctx: tuple([tuple([v.numerator * (den // v.denominator) for v in row]) for row in rows])
+            for ctx, rows in frozen.items()
+        }
+        object.__setattr__(self, "_view", (den, view))
+        if _check_integers(self.scenario, den, view):
+            object.__setattr__(self, "_validated", True)
 
     def prob(self, context: Context, a: int, b: int) -> Prob:
         """Entry for 1-based outcome indices ``a`` (Alice) and ``b`` (Bob)."""
@@ -296,58 +309,17 @@ class Behavior:
                 for b, value in enumerate(row, start=1):
                     yield ctx, a, b, value
 
-    @classmethod
-    def _from_integers(cls, scenario: Scenario, parts: dict[Context, tuple]) -> "Behavior":
-        """The table of ``{ctx: (rows of integer numerators, den > 0)}``, built with its view.
-
-        Each context's den is divided by ``gcd(den, *numerators)``.  The lcm of those is then
-        the lcm of the entries' denominators, so the view is the one ``_int_view`` would build
-        (``False`` past ``_VIEW_BITS``).  The table is marked valid when ``_check_integers``
-        passes ``parts``; otherwise ``validate_behavior`` checks it in full.
-        """
-        count = sum([len(row) for rows, _ in parts.values() for row in rows])
-        table, reduced, den = {}, [], 1
-        for ctx, (rows, d) in parts.items():
-            table[ctx] = tuple([tuple([Fraction(n, d) for n in row]) for row in rows])
-            g = math.gcd(d, *[n for row in rows for n in row])
-            reduced.append((ctx, rows, g, d // g))
-            if den:
-                den = math.lcm(den, d // g)
-                if den.bit_length() * count > _VIEW_BITS:
-                    den = 0  # no view
-        behavior = cls(scenario, table)
-        view = (den, {}) if den else False
-        for ctx, rows, g, d in reduced if view else ():
-            k = den // d
-            view[1][ctx] = tuple([tuple([n // g * k for n in row]) for row in rows])
-        object.__setattr__(behavior, "_view", view)
-        if _check_integers(scenario, parts):
-            object.__setattr__(behavior, "_validated", True)
-        return behavior
-
     def _int_view(self) -> tuple[int, dict[Context, tuple[tuple[int, ...], ...]]] | None:
         """``(den, {ctx: rows of integer numerators over den})``, den the least common
         denominator of the entries; ``None`` if inexact or once ``den`` takes more than
         ``_VIEW_BITS`` bits over all the entries."""
-        if self._view is None:
-            values = [v for rows in self.table.values() for row in rows for v in row]
-            view, den = self.exact, 1
-            for q in {v.denominator for v in values} if view else ():
-                den = math.lcm(den, q)
-                if den.bit_length() * len(values) > _VIEW_BITS:
-                    view = False
-                    break
-            object.__setattr__(self, "_view", view and (den, {
-                ctx: tuple([tuple([v.numerator * (den // v.denominator) for v in row]) for row in rows])
-                for ctx, rows in self.table.items()
-            }))
         return self._view or None
 
     @property
     def exact(self) -> bool:
         """Every entry is an int or a Fraction: true once there is a view, else found by a scan
         that stops at the first other entry."""
-        return bool(self._view) or all(is_exact(v) for rows in self.table.values() for row in rows for v in row)
+        return bool(self._int_view()) or all(is_exact(v) for rows in self.table.values() for row in rows for v in row)
 
 
 @dataclass(frozen=True)
@@ -378,14 +350,14 @@ def validate_behavior(behavior: Behavior, *, normalized: bool = True) -> Validat
     return result
 
 
-def _check_integers(scenario: Scenario, parts: dict[Context, tuple]) -> bool:
-    """Whether ``{ctx: (rows of integer numerators, den)}`` passes ``_check_entries``, seen on
-    its integers alone: the scenario's contexts in its order, each of its shape, with
-    numerators >= 0 that sum to its den."""
-    if tuple(parts) != scenario.contexts():
+def _check_integers(scenario: Scenario, den: int, view: dict[Context, tuple]) -> bool:
+    """Whether a table's integer view ``{ctx: rows of numerators over den}`` passes
+    ``_check_entries``, seen on its integers alone: the scenario's contexts in its order, each
+    of its shape, with numerators >= 0 that sum to den."""
+    if not isinstance(scenario, Scenario) or tuple(view) != scenario.contexts():
         return False
     alice, bob = scenario.alice_outcomes, scenario.bob_outcomes
-    for ctx, (rows, den) in parts.items():
+    for ctx, rows in view.items():
         if [len(row) for row in rows] != [bob[ctx.bob]] * alice[ctx.alice]:
             return False
         numerators = [n for row in rows for n in row]

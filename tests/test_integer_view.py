@@ -7,15 +7,14 @@ whose denominators add up to more than SNAP_DENOMINATOR, so a float, whose
 denominator is a power of two, is never exactly halfway between them; the
 exact midpoints ``(p + 0.5)/q`` below are the nearest cases.)
 ``_snap_behavior`` must agree with the ``Fraction``
-code it replaced (``_fraction_exact``), errors included.  The tables of
-``models._mixture_table`` and ``_snap_behavior`` are built from their
-integers (``Behavior._from_integers``) with the lowest view, and marked
-valid once their integers pass one check; other tables, such as those of
-``strategy_behavior``, build the same view themselves on first read.
-Copies, equality, ``repr`` and value types must not see it.  A table whose
-view would pass ``_VIEW_BITS`` has none and keeps the Fraction paths, so
-many contexts with unrelated denominators cost what they did.  A table that
-passes ``validate_behavior`` is checked once; a failing one every time.
+code it replaced (``_fraction_exact``), errors included.  Every exact table,
+whoever builds it, is made with the lowest view, and is marked valid once
+that view passes one integer check.  Copies, pickles and
+``dataclasses.replace`` carry the same view; equality, ``repr`` and value
+types must not see it.  A table whose view would pass ``_VIEW_BITS`` has
+none and keeps the Fraction paths, so many contexts with unrelated
+denominators cost what they did.  A table that passes ``validate_behavior``
+is checked once; a failing one every time.
 """
 
 import copy
@@ -117,7 +116,7 @@ def test_snap_behavior_matches_the_fraction_code():
         outcomes.add(new[0] if new[0] == "ok" else new[3])
         if new[0] == "ok":
             tested = _snap_behavior(behavior)[0]
-            assert tested._int_view() == _fresh(tested)._int_view()
+            assert tested._int_view() == _lowest_view(tested)
     assert outcomes == {"ok", "NUMERIC_INPUT_UNNORMALIZED"}
 
 
@@ -132,13 +131,6 @@ def _snapped_by_oracle(behavior: Behavior):
 # ---------------------------------------------------------------------------
 # The view itself
 # ---------------------------------------------------------------------------
-
-
-def _fresh(behavior: Behavior) -> Behavior:
-    """The same table with no view yet: it is built from the table on first read."""
-    fresh = Behavior(behavior.scenario, behavior.table)
-    assert "_view" not in vars(fresh)
-    return fresh
 
 
 def _lowest_view(behavior: Behavior):
@@ -167,27 +159,34 @@ def _exact_tables():
 
 
 def _produced_tables():
-    """``(table, whether it was built with its view)``, for exact and strategy tables."""
-    for behavior in _exact_tables():
-        yield behavior, True
+    """The exact tables, the strategy tables and the tables the parser builds."""
+    yield from _exact_tables()
     for strategy in analysis.enumerate_strategies(STANDARD):
-        yield analysis.strategy_behavior(STANDARD, strategy), False
+        yield analysis.strategy_behavior(STANDARD, strategy)
+    rng = random.Random(1307)
+    count = 0
+    while count < 100:
+        document = random_document(rng)
+        if document.behavior is not None and document.behavior.exact:
+            count += 1
+            yield document.behavior
 
 
-def test_produced_tables_build_the_view_that_the_table_gives():
+def test_every_exact_table_is_made_with_its_lowest_view():
     produced = list(_produced_tables())
-    assert len(produced) >= 300
-    for behavior, built_with_view in produced:
-        if built_with_view:
-            assert vars(behavior)["_view"] == _lowest_view(behavior)  # set by the producer
-        else:
-            assert "_view" not in vars(behavior)  # built on first read, not by the producer
-        view = behavior._int_view()
-        assert view == _fresh(behavior)._int_view() == _lowest_view(behavior)
-        assert view[0] > 0
+    assert len(produced) >= 400
+    for behavior in produced:
+        view = vars(behavior)["_view"]
+        assert view == _lowest_view(behavior) and view[0] > 0
+        assert Behavior(behavior.scenario, dict(behavior.table))._view == view
+        # Reading the view or analysing the table builds no other.
+        if behavior.scenario.is_two_by_two():
+            analysis.classify(behavior)
+        validate_behavior(behavior)
+        assert vars(behavior)["_view"] is view and behavior._int_view() is view
 
 
-def test_tables_built_from_integers_come_valid_with_their_view():
+def test_exact_and_snapped_tables_come_valid_with_their_view():
     tables = list(_exact_tables())
     singlets = itertools.islice(_float_tables(random.Random(1302)), 300)  # the first 300 are singlets
     tables += [_snap_behavior(singlet)[0] for singlet in singlets]
@@ -198,24 +197,25 @@ def test_tables_built_from_integers_come_valid_with_their_view():
         assert behavior._validated
 
 
-def test_integers_that_fail_the_check_are_not_marked_valid():
+def test_tables_that_fail_the_integer_check_are_not_marked_valid():
     half = ((1, 1), (1, 1))
     cases = {
-        "unnormalized": {ctx: (half, 3) for ctx in STANDARD.contexts()},
-        "negative": {ctx: (((3, -1), (1, 1)), 4) if ctx.alice else (half, 4) for ctx in STANDARD.contexts()},
-        "missing context": {ctx: (half, 4) for ctx in STANDARD.contexts()[1:]},
-        "wrong shape": {ctx: (((1, 1, 0), (1, 1, 0)), 4) for ctx in STANDARD.contexts()},
+        "unnormalized": ({ctx: (half, 3) for ctx in STANDARD.contexts()}, "UNNORMALIZED_CONTEXT"),
+        "negative": (
+            {ctx: (((3, -1), (1, 1)), 4) if ctx.alice else (half, 4) for ctx in STANDARD.contexts()},
+            "NEGATIVE_ENTRY",
+        ),
+        "missing context": ({ctx: (half, 4) for ctx in STANDARD.contexts()[1:]}, "MISSING_CONTEXT"),
+        "wrong shape": ({ctx: (((1, 1, 0), (1, 1, 0)), 4) for ctx in STANDARD.contexts()}, "MISSING_CONTEXT"),
     }
-    for name, parts in cases.items():
-        built = Behavior._from_integers(STANDARD, parts)
-        assert not built._validated, name
-        plain = Behavior(STANDARD, {ctx: [[F(n, den) for n in row] for row in rows] for ctx, (rows, den) in parts.items()})
-        assert built == plain
-        with pytest.raises(InvalidBehaviorError) as expected:
-            analysis.classify(plain)
+    for name, (parts, code) in cases.items():
+        built = Behavior(STANDARD, {ctx: [[F(n, den) for n in row] for row in rows] for ctx, (rows, den) in parts.items()})
+        assert built._view == _lowest_view(built) and not built._validated, name
+        expected = oracle.validate_behavior(built)
+        assert expected.code == code, name
         with pytest.raises(InvalidBehaviorError) as raised:
             analysis.classify(built)
-        assert (str(raised.value), raised.value.code) == (str(expected.value), expected.value.code), name
+        assert (str(raised.value), raised.value.code) == (expected.message, code), name
         assert not built._validated
 
 
@@ -233,12 +233,12 @@ def _table(rng: random.Random) -> Behavior:
 
 def test_copies_carry_a_correct_view():
     rng = random.Random(1304)
-    behaviors = [models.exact_behavior(models.socks_off()), _fresh(models.exact_behavior(models.socks_on()))]
+    behaviors = [models.exact_behavior(models.socks_off()), models.exact_behavior(models.socks_on())]
     behaviors += [_table(rng) for _ in range(80)]
     assert {b.exact for b in behaviors} == {True, False}
     for behavior in behaviors:
-        expected = _fresh(behavior)._int_view()
-        behavior._int_view()
+        expected = _lowest_view(behavior) if behavior.exact else None
+        assert behavior._int_view() == expected
         for clone in (
             pickle.loads(pickle.dumps(behavior)),
             copy.copy(behavior),
@@ -250,18 +250,28 @@ def test_copies_carry_a_correct_view():
             assert clone.exact == behavior.exact
 
 
-def test_equality_and_repr_ignore_the_view():
+def test_equality_and_repr_ignore_the_view(monkeypatch):
     produced = models.exact_behavior(models.socks_off())
-    fresh = _fresh(produced)
-    produced._int_view()
-    assert "_view" in vars(produced) and "_view" not in vars(fresh)
-    assert produced == fresh and repr(produced) == repr(fresh)
+    monkeypatch.setattr(scenario, "_VIEW_BITS", 0)
+    bare = Behavior(produced.scenario, produced.table)
+    assert produced._view and bare._view is False and bare.exact
+    assert produced == bare and repr(produced) == repr(bare)
     assert "_view" not in repr(produced)
-    fresh._int_view()
-    assert produced == fresh and repr(produced) == repr(fresh)
+    monkeypatch.undo()
     ints = Behavior(STANDARD, {ctx: ((1, 0), (0, 0)) for ctx in STANDARD.contexts()})
     fractions = Behavior(STANDARD, {ctx: ((F(1), F(0)), (F(0), F(0))) for ctx in STANDARD.contexts()})
     assert ints == fractions and ints._int_view() == fractions._int_view()
+
+
+def test_a_table_without_a_view_in_its_state_analyzes_through_fractions():
+    # The state of a table pickled before tables were made with their view.
+    for behavior in (models.exact_behavior(models.socks_off()), models.exact_behavior(models.socks_on())):
+        old = copy.copy(behavior)
+        del vars(old)["_view"], vars(old)["_validated"]
+        assert old._int_view() is None and old.exact and not old._validated
+        assert _key(analysis.classify(old)) == _key(analysis.classify(behavior))
+        assert _key(nosignaling_residual(old)) == _key(nosignaling_residual(behavior))
+        assert "_view" not in vars(old)
 
 
 def test_expectations_keep_their_value_types():
@@ -348,7 +358,7 @@ def test_a_table_past_the_view_budget_has_no_view():
 
 def _spy_checks(monkeypatch, integers: bool = False) -> list[bool]:
     """The ``normalized`` flag of every full check of a table, in call order.  With
-    ``integers``, the check a table built from its integers gets then counts too, as True:
+    ``integers``, the integer check an exact table gets when it is made counts too, as True:
     it checks normalization."""
     calls = []
     check, check_integers = scenario._check_entries, scenario._check_integers
@@ -357,9 +367,9 @@ def _spy_checks(monkeypatch, integers: bool = False) -> list[bool]:
         calls.append(normalized)
         return check(behavior, normalized)
 
-    def integer_spy(shape: Scenario, parts: dict):
+    def integer_spy(shape: Scenario, den: int, view: dict):
         calls.append(True)
-        return check_integers(shape, parts)
+        return check_integers(shape, den, view)
 
     monkeypatch.setattr(scenario, "_check_entries", spy)
     if integers:
@@ -424,16 +434,18 @@ def test_a_check_without_normalization_is_not_remembered(monkeypatch):
     assert calls == [False, False, True, True] and not behavior._validated
 
 
-def test_copies_keep_both_caches_and_replace_starts_without_them():
+def test_copies_pickles_and_replace_keep_both_caches():
     behavior = models.exact_behavior(models.socks_off())
-    require_valid(behavior)
     view = behavior._int_view()
-    assert view == _fresh(behavior)._int_view() and behavior._validated
-    for clone in (pickle.loads(pickle.dumps(behavior)), copy.copy(behavior), copy.deepcopy(behavior)):
+    assert view == _lowest_view(behavior) and behavior._validated
+    for clone in (
+        pickle.loads(pickle.dumps(behavior)),
+        copy.copy(behavior),
+        copy.deepcopy(behavior),
+        dataclasses.replace(behavior),
+    ):
         assert clone == behavior and clone._validated
         assert clone._int_view() == view
-    replaced = dataclasses.replace(behavior)
-    assert replaced == behavior
-    assert "_view" not in vars(replaced) and "_validated" not in vars(replaced)
     unnormalized = dataclasses.replace(behavior, table={ctx: ((F(1), F(1)), (F(0), F(0))) for ctx in STANDARD.contexts()})
+    assert unnormalized._int_view() == _lowest_view(unnormalized) and not unnormalized._validated
     assert validate_behavior(unnormalized).code == "UNNORMALIZED_CONTEXT"

@@ -344,7 +344,7 @@ def builtin_document(name: str) -> ModelDocument:
     """One of the shipped canonical documents; UNKNOWN_BUILTIN otherwise."""
     if name not in _BUILTINS:
         raise UnknownBuiltinError(
-            f"no builtin named {name!r}; available: {', '.join(BUILTIN_NAMES)}"
+            f"no builtin named {printable(name, repr)}; available: {', '.join(BUILTIN_NAMES)}"
         )
     kind, build, description = _BUILTINS[name]
     payload = build()

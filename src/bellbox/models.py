@@ -75,8 +75,8 @@ class ResponseFunction:
             return self.table[(setting, cause_id)]
         except KeyError:
             raise ModelError(
-                f"{self.party} response undefined for setting {setting}, "
-                f"cause {cause_id!r}",
+                f"{printable(self.party)} response undefined for setting {printable(setting)}, "
+                f"cause {printable(cause_id, repr)}",
                 code="MODEL_INVALID",
             ) from None
 
@@ -84,9 +84,8 @@ class ResponseFunction:
 def deterministic_row(n_outcomes: int, outcome: int) -> tuple[Fraction, ...]:
     """Distribution putting all mass on one 1-based outcome index."""
     if not 1 <= outcome <= n_outcomes:
-        raise ModelError(
-            f"outcome {outcome} out of range 1..{n_outcomes}", code="MODEL_INVALID"
-        )
+        message = f"outcome {printable(outcome)} out of range 1..{printable(n_outcomes)}"
+        raise ModelError(message, code="MODEL_INVALID")
     return tuple(
         Fraction(1) if i == outcome else Fraction(0)
         for i in range(1, n_outcomes + 1)
@@ -113,7 +112,7 @@ class NonContextualModel:
         for cause in self.causes:
             if cause.id == cause_id:
                 return cause
-        raise ModelError(f"no cause {cause_id!r} in model", code="UNKNOWN_CAUSE")
+        raise ModelError(f"no cause {printable(cause_id, repr)} in model", code="UNKNOWN_CAUSE")
 
 
 @dataclass(frozen=True)
@@ -165,20 +164,20 @@ def _check_causes(causes: Sequence[Cause], where: str) -> None:
         raise ModelError(f"{where}: empty cause set", code="MODEL_INVALID")
     ids = [c.id for c in causes]
     if len(set(ids)) != len(ids):
-        raise ModelError(f"{where}: duplicate cause ids {ids}", code="MODEL_INVALID")
+        raise ModelError(f"{where}: duplicate cause ids {printable(ids)}", code="MODEL_INVALID")
     fault = _distribution_fault([c.weight for c in causes])
     if fault is None:
         return
     rule, detail = fault
     if rule == "negative":
-        message = f"negative weight for cause {causes[detail].id!r}"
+        message = f"negative weight for cause {printable(causes[detail].id, repr)}"
     elif rule == "non-finite":
         bad = [
             c.id
             for c in causes
             if not is_exact(c.weight) and not math.isfinite(c.weight)
         ]
-        message = f"non-finite weight for cause(s) {bad}"
+        message = f"non-finite weight for cause(s) {printable(bad)}"
     else:
         message = f"cause weights sum to {printable(detail)}, expected 1"
     raise ModelError(f"{where}: {message}", code="MODEL_INVALID")
@@ -239,7 +238,7 @@ def _cause_sets(model: Model) -> Iterator[tuple]:
     if len(model.blocks) > len(contexts):  # every context has its block: the rest are unknown
         known = set(contexts)
         key = next(key for key in model.blocks if key not in known)
-        shown = f"({key.alice},{key.bob})" if isinstance(key, Context) else repr(key)
+        shown = key.index_text() if isinstance(key, Context) else printable(key, repr)
         raise ModelError(f"block for unknown context {shown}", code="MODEL_INVALID")
 
 

@@ -53,7 +53,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import SamplerError
 from .models import Model, Term, _checked, validate_model
-from .scenario import Behavior, Context, Prob, Scenario, SealedDict
+from .scenario import Behavior, Context, Prob, Scenario, SealedDict, printable
 
 _MASK64 = (1 << 64) - 1
 _K0 = 0x9E3779B97F4A7C15
@@ -113,14 +113,14 @@ class Schedule:
 
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "uniform", "cycle"):
-            raise SamplerError(f"unknown schedule kind {self.kind!r}", code="BAD_PLAN")
+            raise SamplerError(f"unknown schedule kind {printable(self.kind, repr)}", code="BAD_PLAN")
         if (self.kind == "fixed") != (self.context is not None):
             raise SamplerError(
                 "fixed schedules carry a context; uniform/cycle do not",
                 code="BAD_PLAN",
             )
         if self.context is not None and not isinstance(self.context, Context):
-            raise SamplerError(f"not a Context: {self.context!r}", code="BAD_PLAN")
+            raise SamplerError(f"not a Context: {printable(self.context, repr)}", code="BAD_PLAN")
 
     @staticmethod
     def fixed(context: Context) -> "Schedule":
@@ -135,6 +135,15 @@ class Schedule:
         return Schedule("cycle")
 
 
+def _integer(name: str, value: object) -> int:
+    """``operator.index(value)``; ``BAD_PLAN`` naming ``name`` when it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        message = f"{name} must be an integer, not {printable(value, repr)}"
+        raise SamplerError(message, code="BAD_PLAN") from None
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     seed: int
@@ -143,13 +152,7 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         for name in ("seed", "trials"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise SamplerError(
-                    f"plan {name} must be an integer, not {value!r}", code="BAD_PLAN"
-                ) from None
+            object.__setattr__(self, name, _integer(f"plan {name}", getattr(self, name)))
         if self.trials < 1:
             raise SamplerError("plan needs at least one trial", code="BAD_PLAN")
 
@@ -174,8 +177,7 @@ class EmpiricalBehavior:
         total = self.total(context)
         if total == 0:
             raise SamplerError(
-                f"context ({context.alice},{context.bob}) was never sampled",
-                code="UNSAMPLED_CONTEXT",
+                f"context {context.index_text()} was never sampled", code="UNSAMPLED_CONTEXT"
             )
         return tuple(
             tuple(Fraction(v, total) for v in row) for row in self.counts[context]
@@ -407,12 +409,10 @@ def sample_trial(
     validate_model(model)
     terms = _checked(model)._terms
     if not isinstance(context, Context):
-        raise SamplerError(f"not a Context: {context!r}", code="BAD_PLAN")
+        raise SamplerError(f"not a Context: {printable(context, repr)}", code="BAD_PLAN")
     if context not in model.scenario.contexts():
-        raise SamplerError(
-            f"model has no context ({context.alice},{context.bob})",
-            code="BAD_PLAN",
-        )
+        raise SamplerError(f"model has no context {context.index_text()}", code="BAD_PLAN")
+    trial_index, seed = _integer("trial_index", trial_index), _integer("seed", seed)
     cells, (code,) = _sample(
         terms, [context], seed, range(trial_index, trial_index + 1), "fixed"
     )
@@ -435,8 +435,7 @@ def run_experiment(model: Model, plan: ExperimentPlan) -> ExperimentRun:
     if schedule.kind == "fixed":
         if schedule.context not in contexts:
             raise SamplerError(
-                f"fixed schedule names a context outside the scenario: "
-                f"({schedule.context.alice},{schedule.context.bob})",
+                f"fixed schedule names a context outside the scenario: {schedule.context.index_text()}",
                 code="BAD_PLAN",
             )
         fixed = contexts.index(schedule.context)

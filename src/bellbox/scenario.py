@@ -69,15 +69,16 @@ def exact_sum(values: Iterable[Prob]) -> Prob:
     return _ONE if num == den else Fraction(num, den)
 
 
-def printable(value: object) -> str:
-    """``str(value)``, or a stand-in when CPython refuses to print an integer in it.
+def printable(value: object, show=str) -> str:
+    """``show(value)`` (``str`` or ``repr``), or a stand-in when CPython refuses to print an
+    integer in it.
 
     Integers longer than ``sys.get_int_max_str_digits()`` digits do not
     convert to text, and a sum of long exact literals can be one.  Such a
     rational is shown as ``<N-digit integer>/<M-digit integer>``, with its sign.
     """
     try:
-        return str(value)
+        return show(value)
     except ValueError:
         if not isinstance(value, (int, Fraction)):
             return f"<{type(value).__name__} too long to print>"
@@ -130,7 +131,7 @@ def outcome_sign(index: int) -> int:
     if index == 2:
         return -1
     raise ScenarioShapeError(
-        f"outcome index {index} has no signed value; only two-outcome "
+        f"outcome index {printable(index)} has no signed value; only two-outcome "
         "settings map onto +1/-1",
         code="NON_BINARY_SETTING",
     )
@@ -249,6 +250,10 @@ class Context:
     alice: int
     bob: int
 
+    def index_text(self) -> str:
+        """``(alice,bob)``: the two indices, each through ``printable``."""
+        return f"({printable(self.alice)},{printable(self.bob)})"
+
     def label(self, scenario: Scenario) -> str:
         return (
             f"({scenario.alice_settings[self.alice]},"
@@ -271,13 +276,17 @@ class Behavior:
     table: dict[Context, tuple[tuple[Prob, ...], ...]]
 
     # ``_view`` is the view or False (none); ``_validated`` is True once the table passed.  Not
-    # fields, so ``==``, repr and ``replace`` skip them.  Only a float table sets
-    # ``_validated`` after it is made: two threads may set it, to the same value.
+    # fields, so ``==``, repr and ``replace`` skip them.  Only a table not valid when made (with
+    # a float, past the budget, or out of order) is marked later: two threads set one value.
     _view = False
     _validated = False
 
     def __post_init__(self) -> None:
-        frozen = {ctx: tuple([tuple(row) for row in rows]) for ctx, rows in self.table.items()}
+        try:
+            frozen = {ctx: tuple([tuple(row) for row in rows]) for ctx, rows in self.table.items()}
+        except (AttributeError, TypeError):
+            message = "a behavior table maps each context to an iterable of rows of entries"
+            raise InvalidBehaviorError(message, code="MALFORMED_TABLE") from None
         object.__setattr__(self, "table", SealedDict(frozen))
         values = [v for rows in frozen.values() for row in rows for v in row]
         if not all([is_exact(v) for v in values]):
@@ -373,11 +382,9 @@ def _check_entries(behavior: Behavior, normalized: bool) -> Validation:
     known = set(scenario.contexts())
     for ctx in behavior.table:
         if ctx not in known:
+            shown = ctx.index_text() if isinstance(ctx, Context) else printable(ctx, repr)
             return Validation(
-                False,
-                "MISSING_CONTEXT",
-                ctx,
-                f"table mentions context ({ctx.alice},{ctx.bob}) outside the scenario",
+                False, "MISSING_CONTEXT", ctx, f"table mentions context {shown} outside the scenario"
             )
     for ctx in scenario.contexts():
         rows = behavior.table.get(ctx)
@@ -397,7 +404,10 @@ def _check_entries(behavior: Behavior, normalized: bool) -> Validation:
         values = [value for row in rows for value in row]
         checked = [n for row in view[1][ctx] for n in row] if view else values  # signs kept: den > 0
         for k, value in enumerate(checked):
-            if not view and not is_exact(value) and not math.isfinite(value):
+            inexact = not view and not is_exact(value)
+            if inexact and not isinstance(value, float):
+                code, problem = "NON_NUMERIC_ENTRY", f"non-numeric ({type(value).__name__})"
+            elif inexact and not math.isfinite(value):
                 code, problem = "NON_FINITE_ENTRY", "non-finite"
             elif value < 0:
                 code, problem = "NEGATIVE_ENTRY", "negative"

@@ -310,11 +310,11 @@ def _check_certificate(
     """
     dens = [yi.denominator * q for yi, (_, q) in zip(y, b)]
     common = math.lcm(*dens)
-    if sum(yi.numerator * p * (common // d) for yi, (p, _), d in zip(y, b, dens)) <= 0:
+    if sum([yi.numerator * p * (common // d) for yi, (p, _), d in zip(y, b, dens)]) <= 0:
         raise AssertionError("Farkas certificate has non-positive value")
     dens = [yi.denominator * s for yi, s in zip(y, system.scale)]
     common = math.lcm(*dens)
     w = [yi.numerator * (common // d) for yi, d in zip(y, dens)]
     for column in zip(*system.a_int):
-        if sum(wi * v for wi, v in zip(w, column)) > 0:
+        if sum([wi * v for wi, v in zip(w, column)]) > 0:
             raise AssertionError("Farkas certificate fails on a column")

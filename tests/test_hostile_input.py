@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,9 @@ from bellbox import (
     Behavior,
     Cause,
     Context,
+    ContextualModel,
+    EmpiricalBehavior,
+    ExperimentPlan,
     InfeasibilityCertificate,
     InvalidBehaviorError,
     LocalDecomposition,
@@ -19,15 +23,23 @@ from bellbox import (
     ModelError,
     NonContextualModel,
     ResponseFunction,
+    SamplerError,
+    Schedule,
     ScenarioShapeError,
+    UnknownBuiltinError,
     builtin_document,
     classify,
+    deterministic_row,
     enumerate_strategies,
     exact_behavior,
     local_membership,
     mix,
+    outcome_sign,
     parse_document,
+    run_experiment,
+    sample_trial,
     serialize_document,
+    socks_off,
     socks_on,
     validate_behavior,
     validate_model,
@@ -105,6 +117,61 @@ def _messages(text):
     result = parse_document(text)  # must not raise
     assert not result.ok
     return [d.message for d in result.errors()]
+
+
+class TestMalformedTables:
+    """``validate_behavior`` returns a failed ``Validation`` for any table it is given, and a
+    table that is not a mapping of rows raises ``InvalidBehaviorError`` when it is made."""
+
+    @pytest.mark.parametrize("value", ["x", None, 1j, Decimal("0.5")], ids=repr)
+    def test_an_entry_neither_exact_nor_a_float(self, value):
+        behavior = _float_table(**{"1_0": ((0.5, value), (0.25, 0.25))})
+        result = validate_behavior(behavior)
+        assert (result.ok, result.code, result.context) == (False, "NON_NUMERIC_ENTRY", Context(1, 0))
+        shown = f"non-numeric ({type(value).__name__}) probability {value} in context (A',B)"
+        assert result.message == shown
+        for check in (classify, local_membership):
+            with pytest.raises(InvalidBehaviorError) as exc:
+                check(behavior)
+            assert (str(exc.value), exc.value.code) == (shown, "NON_NUMERIC_ENTRY")
+
+    @pytest.mark.parametrize(
+        "key, shown",
+        [("ctx", "'ctx'"), ((0, 0), "(0, 0)"), (Context(10**5000, 0), "(<5001-digit integer>,0)")],
+        ids=["str", "tuple", "huge index"],
+    )
+    def test_a_key_that_is_not_a_context_of_the_scenario(self, key, shown):
+        table = dict(exact_behavior(socks_on()).table)
+        table[key] = ((Fraction(1), 0), (0, 0))
+        result = validate_behavior(Behavior(STANDARD_SCENARIO, table))
+        assert (result.ok, result.code) == (False, "MISSING_CONTEXT")
+        assert result.message == f"table mentions context {shown} outside the scenario"
+
+    @pytest.mark.parametrize(
+        "table",
+        [None, 5, [((1, 0), (0, 0))], {Context(0, 0): 5}, {Context(0, 0): (1, 0)}],
+        ids=["None", "int", "list", "int rows", "int row"],
+    )
+    def test_a_table_that_is_not_a_mapping_of_rows(self, table):
+        with pytest.raises(InvalidBehaviorError) as exc:
+            Behavior(STANDARD_SCENARIO, table)
+        assert exc.value.code == "MALFORMED_TABLE"
+        assert str(exc.value) == "a behavior table maps each context to an iterable of rows of entries"
+
+
+@pytest.mark.parametrize(
+    "trial_index, seed, shown",
+    [
+        ("1", 1, "trial_index must be an integer, not '1'"),
+        (1, 1.5, "seed must be an integer, not 1.5"),
+        (Fraction(10**5000, 3), 1, "trial_index must be an integer, not <5001-digit integer>/<1-digit integer>"),
+    ],
+    ids=["trial_index", "seed", "too long to print"],
+)
+def test_sample_trial_takes_integers_only(trial_index, seed, shown):
+    with pytest.raises(SamplerError) as exc:
+        sample_trial(socks_on(), Context(0, 0), trial_index, seed)
+    assert (str(exc.value), exc.value.code) == (shown, "BAD_PLAN")
 
 
 class TestOversizedLiterals:
@@ -200,6 +267,12 @@ LONG_SUM = Fraction(1, LONG_A) + Fraction(1, LONG_B)
 STANDIN = "<4301-digit integer>/<8600-digit integer>"
 
 
+def _with_causes(*causes):
+    """``socks_on()`` with its causes replaced; responses to other ids are left out."""
+    model = socks_on()
+    return NonContextualModel(model.scenario, causes, model.alice_response, model.bob_response)
+
+
 class TestTotalsTooLongToPrint:
     def test_printable(self):
         assert printable(LONG_SUM) == STANDIN
@@ -281,6 +354,123 @@ class TestTotalsTooLongToPrint:
         with pytest.raises(MixtureError) as exc:
             LocalDecomposition(socks_on().scenario, weights).to_behavior()
         assert str(exc.value) == f"weights sum to {STANDIN}, expected 1"
+
+
+    @pytest.mark.parametrize(
+        "build, error, value, shown, template",
+        [
+            (lambda v: Schedule(v), SamplerError, "daily", "'daily'", "unknown schedule kind {}"),
+            (lambda v: Schedule("fixed", v), SamplerError, (0, 0), "(0, 0)", "not a Context: {}"),
+            (lambda v: sample_trial(socks_on(), v, 0, 1), SamplerError, (0, 0), "(0, 0)", "not a Context: {}"),
+            (lambda v: sample_trial(socks_on(), Context(v, 0), 0, 1), SamplerError, 7, "7", "model has no context ({},0)"),
+            (
+                lambda v: run_experiment(socks_on(), ExperimentPlan(1, 1, Schedule.fixed(Context(0, v)))),
+                SamplerError,
+                7,
+                "7",
+                "fixed schedule names a context outside the scenario: (0,{})",
+            ),
+            (
+                lambda v: socks_on().alice_response.outcome_probs(v, "lambda1"),
+                ModelError,
+                7,
+                "7",
+                "alice response undefined for setting {}, cause 'lambda1'",
+            ),
+            (
+                lambda v: socks_on().alice_response.outcome_probs(0, v),
+                ModelError,
+                "mu",
+                "'mu'",
+                "alice response undefined for setting 0, cause {}",
+            ),
+            (
+                lambda v: ResponseFunction(v, {}).outcome_probs(0, "mu"),
+                ModelError,
+                "alice",
+                "alice",
+                "{} response undefined for setting 0, cause 'mu'",
+            ),
+            (lambda v: socks_on().cause(v), ModelError, "mu", "'mu'", "no cause {} in model"),
+            (
+                lambda v: EmpiricalBehavior(socks_on().scenario, {}).frequencies(Context(0, v)),
+                SamplerError,
+                1,
+                "1",
+                "context (0,{}) was never sampled",
+            ),
+            (
+                lambda v: validate_model(ContextualModel(socks_off().scenario, {**socks_off().blocks, v: None})),
+                ModelError,
+                "mu",
+                "'mu'",
+                "block for unknown context {}",
+            ),
+            (lambda v: deterministic_row(2, v), ModelError, 3, "3", "outcome {} out of range 1..2"),
+            (
+                lambda v: outcome_sign(v),
+                ScenarioShapeError,
+                3,
+                "3",
+                "outcome index {} has no signed value; only two-outcome settings map onto +1/-1",
+            ),
+            (
+                lambda v: builtin_document(v),
+                UnknownBuiltinError,
+                "socks",
+                "'socks'",
+                "no builtin named {}; available: socks-on, socks-off, socks-color, singlet-optimal",
+            ),
+            (
+                lambda v: validate_model(_with_causes(Cause(v, Fraction(1, 2)), Cause(v, Fraction(1, 2)))),
+                ModelError,
+                "mu",
+                "['mu', 'mu']",
+                "model: duplicate cause ids {}",
+            ),
+            (
+                lambda v: validate_model(_with_causes(Cause(v, Fraction(-1, 2)), Cause("b", Fraction(3, 2)))),
+                ModelError,
+                "mu",
+                "'mu'",
+                "model: negative weight for cause {}",
+            ),
+            (
+                lambda v: validate_model(_with_causes(Cause(v, math.inf), Cause("b", 0.5))),
+                ModelError,
+                "mu",
+                "['mu']",
+                "model: non-finite weight for cause(s) {}",
+            ),
+        ],
+        ids=[
+            "schedule kind",
+            "schedule context",
+            "sample_trial context",
+            "sample_trial context outside",
+            "run_experiment fixed context",
+            "response setting",
+            "response cause",
+            "response party",
+            "model cause",
+            "unsampled context",
+            "unknown block key",
+            "deterministic_row",
+            "outcome_sign",
+            "builtin_document",
+            "duplicate cause ids",
+            "negative weight",
+            "non-finite weight",
+        ],
+    )
+    def test_messages_naming_a_value(self, build, error, value, shown, template):
+        """A value that prints is named as before (``shown``); one too long to print by its
+        stand-in, and a list holding one by the list's."""
+        huge = "<list too long to print>" if shown.startswith("[") else "<5001-digit integer>"
+        for given, text in ((value, shown), (10**5000, huge)):
+            with pytest.raises(error) as exc:
+                build(given)
+            assert str(exc.value) == template.format(text)
 
 
 def test_mix_rejects_a_nan_weight():

@@ -172,7 +172,7 @@ def _produced_tables():
             yield document.behavior
 
 
-def test_every_exact_table_is_made_with_its_lowest_view():
+def test_produced_tables_build_the_view_that_the_table_gives():
     produced = list(_produced_tables())
     assert len(produced) >= 400
     for behavior in produced:
@@ -186,7 +186,7 @@ def test_every_exact_table_is_made_with_its_lowest_view():
         assert vars(behavior)["_view"] is view and behavior._int_view() is view
 
 
-def test_exact_and_snapped_tables_come_valid_with_their_view():
+def test_tables_built_from_integers_come_valid_with_their_view():
     tables = list(_exact_tables())
     singlets = itertools.islice(_float_tables(random.Random(1302)), 300)  # the first 300 are singlets
     tables += [_snap_behavior(singlet)[0] for singlet in singlets]
@@ -197,7 +197,7 @@ def test_exact_and_snapped_tables_come_valid_with_their_view():
         assert behavior._validated
 
 
-def test_tables_that_fail_the_integer_check_are_not_marked_valid():
+def test_integers_that_fail_the_check_are_not_marked_valid():
     half = ((1, 1), (1, 1))
     cases = {
         "unnormalized": ({ctx: (half, 3) for ctx in STANDARD.contexts()}, "UNNORMALIZED_CONTEXT"),

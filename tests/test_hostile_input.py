@@ -158,6 +158,11 @@ class TestMalformedTables:
         assert exc.value.code == "MALFORMED_TABLE"
         assert str(exc.value) == "a behavior table maps each context to an iterable of rows of entries"
 
+    def test_an_exact_table_over_something_that_is_not_a_scenario_still_builds(self):
+        table = exact_behavior(socks_on()).table
+        behavior = Behavior(None, table)
+        assert behavior.table == table and behavior._int_view() and not behavior._validated
+
 
 @pytest.mark.parametrize(
     "trial_index, seed, shown",

@@ -24,9 +24,9 @@ class BellboxError(Exception):
 class InvalidBehaviorError(BellboxError):
     """A probability table violates a behavior invariant.
 
-    Codes: NON_FINITE_ENTRY (NaN or an infinity), NON_NUMERIC_ENTRY (neither
-    an int, a Fraction nor a float), NEGATIVE_ENTRY, UNNORMALIZED_CONTEXT,
-    MISSING_CONTEXT (also a table key that is not a context of the scenario),
+    Codes: NON_FINITE_ENTRY (NaN or an infinity), NON_NUMERIC_ENTRY (not a
+    real number: a string, None, a complex or a Decimal), NEGATIVE_ENTRY,
+    UNNORMALIZED_CONTEXT, MISSING_CONTEXT (also a table key that is not a context of the scenario),
     MALFORMED_TABLE (a table that is not a mapping of contexts to rows of
     entries, raised when the behavior is made).
     """

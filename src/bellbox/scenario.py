@@ -10,6 +10,7 @@ normalization checked against ``FLOAT_ATOL``.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -405,7 +406,7 @@ def _check_entries(behavior: Behavior, normalized: bool) -> Validation:
         checked = [n for row in view[1][ctx] for n in row] if view else values  # signs kept: den > 0
         for k, value in enumerate(checked):
             inexact = not view and not is_exact(value)
-            if inexact and not isinstance(value, float):
+            if inexact and not isinstance(value, (float, numbers.Real)):
                 code, problem = "NON_NUMERIC_ENTRY", f"non-numeric ({type(value).__name__})"
             elif inexact and not math.isfinite(value):
                 code, problem = "NON_FINITE_ENTRY", "non-finite"

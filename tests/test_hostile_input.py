@@ -135,6 +135,13 @@ class TestMalformedTables:
                 check(behavior)
             assert (str(exc.value), exc.value.code) == (shown, "NON_NUMERIC_ENTRY")
 
+    def test_real_entries_of_other_types_are_checked_as_floats(self):
+        numpy = pytest.importorskip("numpy")
+        grid = numpy.array([[0.25, 0.25], [0.25, 0.25]], dtype=numpy.float32)
+        assert validate_behavior(_float_table(**{"1_0": grid})).ok
+        result = validate_behavior(_float_table(**{"1_0": -grid}))
+        assert (result.code, result.context) == ("NEGATIVE_ENTRY", Context(1, 0))
+
     @pytest.mark.parametrize(
         "key, shown",
         [("ctx", "'ctx'"), ((0, 0), "(0, 0)"), (Context(10**5000, 0), "(<5001-digit integer>,0)")],
@@ -359,7 +366,6 @@ class TestTotalsTooLongToPrint:
         with pytest.raises(MixtureError) as exc:
             LocalDecomposition(socks_on().scenario, weights).to_behavior()
         assert str(exc.value) == f"weights sum to {STANDIN}, expected 1"
-
 
     @pytest.mark.parametrize(
         "build, error, value, shown, template",

@@ -186,7 +186,7 @@ def test_produced_tables_build_the_view_that_the_table_gives():
         assert vars(behavior)["_view"] is view and behavior._int_view() is view
 
 
-def test_tables_built_from_integers_come_valid_with_their_view():
+def test_exact_and_snapped_tables_come_valid_with_their_view():
     tables = list(_exact_tables())
     singlets = itertools.islice(_float_tables(random.Random(1302)), 300)  # the first 300 are singlets
     tables += [_snap_behavior(singlet)[0] for singlet in singlets]

@@ -22,9 +22,9 @@ from functools import partial
 from typing import Callable
 
 from .document import (
-    DECIMAL_DENOMINATOR, FORMAT_VERSION, MAX_LITERAL_DIGITS, MAX_TABLE_CELLS, _COMMENT_RE,
-    _KEYVALUE_RE, _LABEL_RE, _PAYLOAD_NAMES, _TOKEN_RE, ModelDocument, ParseDiagnostic,
-    ParseResult, SingletSpec,
+    DECIMAL_DENOMINATOR, FORMAT_HEADER, FORMAT_VERSION, MAX_LITERAL_DIGITS, MAX_TABLE_CELLS,
+    _COMMENT_RE, _KEYVALUE_RE, _LABEL_RE, _PAYLOAD_NAMES, _TOKEN_RE, ModelDocument,
+    ParseDiagnostic, ParseResult, SingletSpec, _entry_label,
 )  # fmt: skip
 from .models import Cause, ContextBlock, ContextualModel, NonContextualModel, ResponseFunction
 from .models import _answered_settings, _checked
@@ -211,7 +211,7 @@ def _split_sections(p: _DocParser) -> dict[str, list[_Line]] | None:
     header_line, header_text = content[0]
     tokens = header_text.split()
     if len(tokens) != 2 or tokens[0] != "bellbox-format":
-        message = "SYNTAX: expected version header 'bellbox-format 1'"
+        message = f"SYNTAX: expected version header '{FORMAT_HEADER}'"
         p.error_at_head(header_line, header_text, message)
         return None
     version = tokens[1]
@@ -414,7 +414,7 @@ def _build_behavior(
             p.error(
                 line_no,
                 m.start(1) + 1,
-                f"SYNTAX: duplicate entry for P({a},{b} | {x_label},{y_label})",
+                f"SYNTAX: duplicate entry for {_entry_label(scenario, ctx, a, b)}",
             )
             continue
         cells[key] = value

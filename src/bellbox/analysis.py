@@ -30,8 +30,10 @@ from .scenario import (
     Scenario,
     SealedDict,
     _marginal_rows,
+    _non_numeric,
     exact_sum,
     expectation,
+    is_real,
     printable,
     require_valid,
     validate_behavior,
@@ -214,8 +216,11 @@ class LocalDecomposition:
         entry is summed afresh, in strategy order, with ``exact_sum``.
         """
         weights = [w for _, w in self.weights]
-        if any(w < 0 for w in weights):
-            raise MixtureError(f"negative weight in {printable(weights)}", code="BAD_WEIGHTS")
+        for w in weights:
+            if not is_real(w):
+                raise MixtureError(_non_numeric(w, "weight"), code="BAD_WEIGHTS")
+            if w < 0:
+                raise MixtureError(f"negative weight in {printable(weights)}", code="BAD_WEIGHTS")
         total = exact_sum(weights)
         if total != 1:
             raise MixtureError(

@@ -255,12 +255,6 @@ def _strategy_text(scenario: Scenario, strategy: analysis.DeterministicStrategy)
     return f"alice({alice}) bob({bob})"
 
 
-def _entry_label(scenario: Scenario, ctx: Context, a: int, b: int) -> str:
-    x = scenario.alice_settings[ctx.alice]
-    y = scenario.bob_settings[ctx.bob]
-    return f"P({a},{b} | {x},{y})"
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -299,7 +293,7 @@ def _cmd_chsh(args: argparse.Namespace, doc: document.ModelDocument) -> str:
     ]
     best, best_arr = analysis.chsh_max(behavior)
     if args.output == "machine":
-        lines = ["bellbox-format 1", "", "[chsh]"]
+        lines = [document.FORMAT_HEADER, "", "[chsh]"]
         for arr, value in values:
             lines.append(f"value {analysis.arrangement_str(arr)} = {_fmt(value)}")
         lines.append(f"max = {_fmt(best)}")
@@ -341,7 +335,7 @@ def _cmd_nosig(args: argparse.Namespace, doc: document.ModelDocument) -> str:
     rows = _marginal_pairs(behavior)
     scenario = behavior.scenario
     if args.output == "machine":
-        lines = ["bellbox-format 1", "", "[nosig]", f"residual = {_fmt(residual)}"]
+        lines = [document.FORMAT_HEADER, "", "[nosig]", f"residual = {_fmt(residual)}"]
         for party, label, outcome, values in rows:
             co_labels = scenario.settings("bob" if party == "alice" else "alice")  # type: ignore[arg-type]
             for co_label, value in zip(co_labels, values):
@@ -389,7 +383,7 @@ def _certificate_lines(
                 coeff = certificate.coefficients.get((ctx, a, b))
                 if coeff:
                     lines.append(
-                        f"{prefix}{_entry_label(scenario, ctx, a, b)} = {_fmt(coeff)}"
+                        f"{prefix}{document._entry_label(scenario, ctx, a, b)} = {_fmt(coeff)}"
                     )
     value, bound = _fmt(certificate.behavior_value), _fmt(certificate.local_bound)
     if machine:
@@ -406,7 +400,7 @@ def _cmd_membership(args: argparse.Namespace, doc: document.ModelDocument) -> st
     result = analysis.local_membership(behavior)
     scenario = behavior.scenario
     machine = args.output == "machine"
-    lines = ["bellbox-format 1", "", "[membership]"] if machine else []
+    lines = [document.FORMAT_HEADER, "", "[membership]"] if machine else []
     status = "LOCAL" if result.feasible else "INFEASIBLE"
     lines.append(f"status = {status}" if machine else status)
     if result.snap_error:
@@ -415,15 +409,13 @@ def _cmd_membership(args: argparse.Namespace, doc: document.ModelDocument) -> st
             if machine
             else f"  (floating input snapped to rationals; max shift {result.snap_error:.3g})"
         )
-    if result.feasible:
-        assert result.decomposition is not None
+    if result.decomposition is not None:
         if not machine:
             lines[0] = "LOCAL: the behavior is a mixture of deterministic strategies"
         lines.extend(_decomposition_lines(scenario, result.decomposition, machine))
         if not machine:
             lines.append("  reconstruction from the mixture is exact")
     else:
-        assert result.certificate is not None
         if not machine:
             lines[0] = (
                 "INFEASIBLE: no mixture of deterministic strategies matches; "
@@ -442,7 +434,7 @@ def _cmd_classify(args: argparse.Namespace, doc: document.ModelDocument) -> str:
     machine = args.output == "machine"
     contexts = scenario.contexts()
     if machine:
-        lines = ["bellbox-format 1", "", "[classify]"]
+        lines = [document.FORMAT_HEADER, "", "[classify]"]
         lines.append(f"classification = {report.classification.value}")
         lines.append(f"chsh_max = {_fmt(report.chsh_max)}")
         lines.append(
@@ -524,7 +516,7 @@ def _cmd_sample(args: argparse.Namespace, doc: document.ModelDocument) -> str:
     full_coverage = set(sampled) == set(scenario.contexts())
 
     if args.output == "machine":
-        lines = ["bellbox-format 1", "", "[sample]"]
+        lines = [document.FORMAT_HEADER, "", "[sample]"]
         lines.append(f"seed = {args.seed}")
         lines.append(f"trials = {args.trials}")
         lines.append(f"schedule = {args.schedule}")

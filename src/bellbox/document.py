@@ -36,9 +36,12 @@ from .models import (
     socks_off,
     socks_on,
 )
-from .scenario import PARTIES, Behavior, Prob, Scenario, exact_sum, printable
+from .scenario import PARTIES, Behavior, Context, Prob, Scenario, exact_sum, printable
 
 FORMAT_VERSION = 1
+
+#: The first line of every document, and of every machine output of the CLI.
+FORMAT_HEADER = f"bellbox-format {FORMAT_VERSION}"
 
 #: Denominator cap when decimal literals are converted to rationals.
 DECIMAL_DENOMINATOR = 10**6
@@ -225,8 +228,11 @@ def _exact_texts(values: tuple[Prob, ...]) -> list[str]:
 
 
 def serialize_document(document: ModelDocument) -> str:
-    """Canonical text form; idempotent and structurally round-trippable."""
-    out: list[str] = [f"bellbox-format {FORMAT_VERSION}", ""]
+    """Canonical text form; idempotent and structurally round-trippable.  A ``version`` other
+    than ``FORMAT_VERSION``, which the text cannot carry, raises ``UNREADABLE_VALUE``."""
+    if document.version != FORMAT_VERSION:
+        raise _unreadable("format version", document.version)
+    out: list[str] = [FORMAT_HEADER, ""]
     if document.name is not None or document.description is not None:
         out.append("[metadata]")
         for key in ("description", "name"):
@@ -277,13 +283,15 @@ def _serialize_behavior(behavior: Behavior) -> list[str]:
     out = ["[behavior]"]
     if not behavior.exact:
         out.append("numbers = float")
-    scenario = behavior.scenario
     for ctx, a, b, value in behavior.entries():
-        x = scenario.alice_settings[ctx.alice]
-        y = scenario.bob_settings[ctx.bob]
         text = fraction_text(value) if isinstance(value, Fraction) else _float_text(value)
-        out.append(f"P({a},{b} | {x},{y}) = {text}")
+        out.append(f"{_entry_label(behavior.scenario, ctx, a, b)} = {text}")
     return out
+
+
+def _entry_label(scenario: Scenario, ctx: Context, a: int, b: int) -> str:
+    """``P(a,b | x,y)``: one table entry, by its outcomes and its context's setting labels."""
+    return f"P({a},{b} | {scenario.alice_settings[ctx.alice]},{scenario.bob_settings[ctx.bob]})"
 
 
 def _serialize_causes(
@@ -342,11 +350,12 @@ BUILTIN_NAMES = tuple(_BUILTINS)
 
 def builtin_document(name: str) -> ModelDocument:
     """One of the shipped canonical documents; UNKNOWN_BUILTIN otherwise."""
-    if name not in _BUILTINS:
+    try:
+        kind, build, description = _BUILTINS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise UnknownBuiltinError(
             f"no builtin named {printable(name, repr)}; available: {', '.join(BUILTIN_NAMES)}"
-        )
-    kind, build, description = _BUILTINS[name]
+        ) from None
     payload = build()
     scenario = (
         Scenario.binary(("A", "A'"), ("B", "B'")) if kind == "singlet" else payload.scenario

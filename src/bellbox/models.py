@@ -42,8 +42,10 @@ from .scenario import (
     Prob,
     Scenario,
     SealedDict,
+    _non_numeric,
     exact_sum,
     is_exact,
+    is_real,
     printable,
     sums_to_one,
 )
@@ -143,14 +145,17 @@ class ContextualModel:
 def _distribution_fault(values: Sequence[Prob]) -> tuple[str, Prob] | None:
     """The first rule ``values`` break as a distribution, with its detail, or ``None``.
 
-    ``("negative", k)`` names the first negative entry, ``("non-finite", total)``
-    an infinite or NaN total and ``("sum", total)`` a total that is not 1.
+    ``("non-numeric", k)`` names the first entry that is not a real number
+    (``is_real``) and ``("negative", k)`` the first negative one, whichever
+    comes first; ``("non-finite", total)`` an infinite or NaN total and
+    ``("sum", total)`` a total that is not 1.
     """
     for k, value in enumerate(values):
-        if value < 0:
+        rule = "negative" if is_real(value) else "non-numeric"
+        if rule == "non-numeric" or value < 0:
             # Summing in order raises first where an earlier entry would.
             exact_sum(values[:k])
-            return "negative", k
+            return rule, k
     total = exact_sum(values)
     if not isinstance(total, Fraction) and not math.isfinite(total):
         return "non-finite", total
@@ -169,7 +174,10 @@ def _check_causes(causes: Sequence[Cause], where: str) -> None:
     if fault is None:
         return
     rule, detail = fault
-    if rule == "negative":
+    if rule == "non-numeric":
+        shown = _non_numeric(causes[detail].weight, "weight")
+        message = f"{shown} for cause {printable(causes[detail].id, repr)}"
+    elif rule == "negative":
         message = f"negative weight for cause {printable(causes[detail].id, repr)}"
     elif rule == "non-finite":
         bad = [
@@ -195,11 +203,14 @@ def _check_response_row(
     if fault is None:
         return
     rule, detail = fault
-    head = f"{where}: {response.party} row for setting {setting}, cause {cause_id!r}"
+    shown = printable(cause_id, repr)
+    head = f"{where}: {printable(response.party)} row for setting {setting}, cause {shown}"
     if rule == "entries":
         message = f"{head} has {detail} entries, expected {n_outcomes}"
+    elif rule == "non-numeric":
+        message = f"{head} has a {_non_numeric(row[detail], 'entry')}"
     elif rule == "negative":
-        message = f"{where}: negative response probability for cause {cause_id!r}"
+        message = f"{where}: negative response probability for cause {shown}"
     elif rule == "non-finite":
         message = f"{head} has a non-finite probability: {printable(row)}"
     else:
@@ -271,8 +282,8 @@ def exact_behavior(model: Model) -> Behavior:
     Entry ``(a, b)`` of a context is the sum over its causes of
     ``weight * alice_row[a] * bob_row[b]``.  Exact contexts are summed on
     integers over one common denominator and give the same Fractions as
-    ``Fraction`` arithmetic; contexts with a float add the products in cause
-    order from ``Fraction(0)``, skipping Alice's zero entries.
+    ``Fraction`` arithmetic; contexts with a float sum the products in cause
+    order with ``exact_sum``, skipping Alice's zero entries.
     """
     if model._terms is None:
         _checked(validate_model(model))
@@ -341,15 +352,10 @@ def _exact_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[list[list[int]
 
 
 def _float_grid(terms: Sequence[Term], na: int, nb: int) -> tuple[tuple[Prob, ...], ...]:
-    cells: list[list[Prob]] = [[Fraction(0) for _ in range(nb)] for _ in range(na)]
-    for _, w, ra, rb in terms:
-        for a in range(na):
-            if ra[a] == 0:
-                continue
-            wa = w * ra[a]
-            for b in range(nb):
-                cells[a][b] = cells[a][b] + wa * rb[b]
-    return tuple(tuple(row) for row in cells)
+    return tuple(
+        tuple(exact_sum([w * ra[a] * rb[b] for _, w, ra, rb in terms if ra[a] != 0]) for b in range(nb))
+        for a in range(na)
+    )
 
 
 def condition_on_cause(model: NonContextualModel, cause_id: str) -> Behavior:

@@ -197,19 +197,9 @@ class EmpiricalBehavior:
             )
         merged = {}
         for ctx in self.scenario.contexts():
-            mine = self.counts.get(ctx)
-            theirs = other.counts.get(ctx)
-            if mine is None and theirs is None:
-                continue
-            if mine is None:
-                merged[ctx] = theirs
-            elif theirs is None:
-                merged[ctx] = mine
-            else:
-                merged[ctx] = tuple(
-                    tuple(x + y for x, y in zip(row_a, row_b))
-                    for row_a, row_b in zip(mine, theirs)
-                )
+            grids = [grid for grid in (self.counts.get(ctx), other.counts.get(ctx)) if grid is not None]
+            if grids:  # each cell summed over the grids present
+                merged[ctx] = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*grids))
         return EmpiricalBehavior(self.scenario, merged)
 
 

@@ -37,6 +37,17 @@ def is_exact(value: Prob) -> bool:
     return not isinstance(value, float) and isinstance(value, (Fraction, int))
 
 
+def is_real(value: object) -> bool:
+    """The realness rule for weights and entries: a float or any ``numbers.Real``.  Anything
+    else (text, ``None``, a ``Decimal``) is refused before its sign is tested."""
+    return isinstance(value, (float, numbers.Real))
+
+
+def _non_numeric(value: object, noun: str) -> str:
+    """``non-numeric (<type>) <noun> <value>``: how a value ``is_real`` refuses is named."""
+    return f"non-numeric ({type(value).__name__}) {noun} {printable(value)}"
+
+
 _ONE = Fraction(1)
 
 
@@ -256,10 +267,8 @@ class Context:
         return f"({printable(self.alice)},{printable(self.bob)})"
 
     def label(self, scenario: Scenario) -> str:
-        return (
-            f"({scenario.alice_settings[self.alice]},"
-            f"{scenario.bob_settings[self.bob]})"
-        )
+        """``(x,y)``: the two setting labels, each through ``printable``."""
+        return f"({printable(scenario.alice_settings[self.alice])},{printable(scenario.bob_settings[self.bob])})"
 
 
 @dataclass(frozen=True)
@@ -377,9 +386,10 @@ def _check_integers(scenario: Scenario, den: int, view: dict[Context, tuple]) ->
 
 
 def _check_entries(behavior: Behavior, normalized: bool) -> Validation:
-    """``validate_behavior``'s checks, run in full."""
+    """``validate_behavior``'s checks, run in full on the entries.  The integer check
+    (``_check_integers``) runs once, when an exact table is made; a table that reaches this
+    function failed it or never had it."""
     scenario = behavior.scenario
-    view = behavior._int_view()
     known = set(scenario.contexts())
     for ctx in behavior.table:
         if ctx not in known:
@@ -403,27 +413,21 @@ def _check_entries(behavior: Behavior, normalized: bool) -> Validation:
                 f"table for context {ctx.label(scenario)} is not {na}x{nb}",
             )
         values = [value for row in rows for value in row]
-        checked = [n for row in view[1][ctx] for n in row] if view else values  # signs kept: den > 0
-        for k, value in enumerate(checked):
-            inexact = not view and not is_exact(value)
-            if inexact and not isinstance(value, (float, numbers.Real)):
-                code, problem = "NON_NUMERIC_ENTRY", f"non-numeric ({type(value).__name__})"
+        for k, value in enumerate(values):
+            inexact = not is_exact(value)
+            if inexact and not is_real(value):
+                code, problem = "NON_NUMERIC_ENTRY", _non_numeric(value, "probability")
             elif inexact and not math.isfinite(value):
-                code, problem = "NON_FINITE_ENTRY", "non-finite"
+                code, problem = "NON_FINITE_ENTRY", f"non-finite probability {printable(value)}"
             elif value < 0:
-                code, problem = "NEGATIVE_ENTRY", "negative"
+                code, problem = "NEGATIVE_ENTRY", f"negative probability {printable(value)}"
             else:
                 continue
             # Summing in entry order raises (a sum beyond float range meeting
             # a float) before a later entry is checked; keep that order.
             exact_sum(values[:k])
-            return Validation(
-                False,
-                code,
-                ctx,
-                f"{problem} probability {printable(values[k])} in context {ctx.label(scenario)}",
-            )
-        total = Fraction(sum(checked), view[0]) if view else exact_sum(values)
+            return Validation(False, code, ctx, f"{problem} in context {ctx.label(scenario)}")
+        total = exact_sum(values)
         if normalized and not sums_to_one(total):
             within = "" if isinstance(total, Fraction) else f" within {FLOAT_ATOL}"
             return Validation(
@@ -519,6 +523,8 @@ def mix(components: Sequence[tuple[Prob, Behavior]]) -> Behavior:
                 "all mixture components must share one scenario",
                 code="SCENARIO_MISMATCH",
             )
+        if not is_real(weight):
+            raise MixtureError(_non_numeric(weight, "weight"), code="BAD_WEIGHTS")
         if weight < 0:
             raise MixtureError(f"negative weight {printable(weight)}", code="BAD_WEIGHTS")
         if weight != weight:

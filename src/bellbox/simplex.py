@@ -272,10 +272,7 @@ def _pivot(
     for i in nonzero:
         if i != row:
             rows[i], dens[i] = _eliminate(rows[i], dens[i], pivot, p, rows[i][col], support)
-    f = z[col]
-    if f == 0:
-        return z, z_den
-    return _eliminate(z, z_den, pivot, p, f, support)
+    return _eliminate(z, z_den, pivot, p, z[col], support)
 
 
 def _eliminate(

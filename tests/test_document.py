@@ -615,3 +615,18 @@ class TestFuzzTotality:
             result = parse_document(text)
             assert not result.ok
             assert result.errors()
+
+
+@pytest.mark.parametrize("version", [7, 0, 10**5000], ids=["7", "0", "huge"])
+def test_serialize_refuses_a_version_it_cannot_write(version):
+    """The text carries only ``FORMAT_VERSION``: any other version would parse back to an
+    unequal document, so it is refused like any value the text cannot carry."""
+    doc = dataclasses.replace(builtin_document("socks-on"), version=version)
+    with pytest.raises(BellboxError) as exc:
+        serialize_document(doc)
+    shown = "<5001-digit integer>" if version == 10**5000 else str(version)
+    assert exc.value.code == "UNREADABLE_VALUE"
+    assert str(exc.value) == f"format version {shown!r} would not read back from the text format"
+    assert serialize_document(dataclasses.replace(doc, version=document.FORMAT_VERSION)).startswith(
+        document.FORMAT_HEADER + "\n"
+    )

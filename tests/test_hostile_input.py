@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from bellbox import (
     NonContextualModel,
     ResponseFunction,
     SamplerError,
+    Scenario,
     Schedule,
     ScenarioShapeError,
     UnknownBuiltinError,
@@ -525,3 +527,74 @@ def test_cli_caps_the_diagnostics_it_prints(tmp_path, capsys):
         f"{path}: … {150 * 150 - MAX_PRINTED_DIAGNOSTICS} more diagnostics",
         f"error: {path} did not parse",
     ]
+
+
+NON_REAL = [("x", "(str) {} x"), (None, "(NoneType) {} None"), (Decimal("0.5"), "(Decimal) {} 0.5")]
+
+
+class TestRealnessOfWeightsAndEntries:
+    """A weight or entry that is neither a float nor a ``numbers.Real`` is refused with a typed
+    error that names it, checked in entry order before the sign, so a negative value ahead of it
+    is still reported as negative."""
+
+    @pytest.mark.parametrize("value, shown", NON_REAL, ids=repr)
+    def test_mix(self, value, shown):
+        table = exact_behavior(socks_on())
+        with pytest.raises(MixtureError) as exc:
+            mix([(Fraction(1, 2), table), (value, table)])
+        assert (exc.value.code, str(exc.value)) == ("BAD_WEIGHTS", "non-numeric " + shown.format("weight"))
+        with pytest.raises(MixtureError) as exc:
+            mix([(-1, table), (value, table)])
+        assert str(exc.value) == "negative weight -1"
+
+    @pytest.mark.parametrize("value, shown", NON_REAL, ids=repr)
+    def test_validate_model(self, value, shown):
+        model = socks_on()
+        with pytest.raises(ModelError) as exc:
+            validate_model(_with_causes(Cause("lambda1", value), *model.causes[1:]))
+        expected = f"model: non-numeric {shown.format('weight')} for cause 'lambda1'"
+        assert (exc.value.code, str(exc.value)) == ("MODEL_INVALID", expected)
+        with pytest.raises(ModelError) as exc:
+            validate_model(_with_causes(Cause("lambda1", Fraction(-1, 4)), Cause("lambda2", value)))
+        assert str(exc.value) == "model: negative weight for cause 'lambda1'"
+        rows = {**model.alice_response.table, (1, "lambda2"): (Fraction(1), value)}
+        hostile = NonContextualModel(
+            model.scenario, model.causes, ResponseFunction("alice", rows), model.bob_response
+        )
+        with pytest.raises(ModelError) as exc:
+            validate_model(hostile)
+        expected = f"model: alice row for setting 1, cause 'lambda2' has a non-numeric {shown.format('entry')}"
+        assert (exc.value.code, str(exc.value)) == ("MODEL_INVALID", expected)
+
+    @pytest.mark.parametrize("value, shown", NON_REAL, ids=repr)
+    def test_decomposition(self, value, shown):
+        scenario = socks_on().scenario
+        strategies = enumerate_strategies(scenario)
+        with pytest.raises(MixtureError) as exc:
+            LocalDecomposition(scenario, ((strategies[0], value),)).to_behavior()
+        assert (exc.value.code, str(exc.value)) == ("BAD_WEIGHTS", "non-numeric " + shown.format("weight"))
+        weights = ((strategies[0], -1), (strategies[1], value))
+        with pytest.raises(MixtureError) as exc:
+            LocalDecomposition(scenario, weights).to_behavior()
+        assert str(exc.value) == f"negative weight in {printable([-1, value])}"
+
+
+def test_context_labels_go_through_printable():
+    huge = 10**5000
+    scenario = Scenario((huge, "A'"), ("B", "B'"), (2, 2), (2, 2))
+    result = validate_behavior(Behavior(scenario, {Context(0, 0): ((1, 0), (0, 0))}))
+    assert (result.code, result.message) == ("MISSING_CONTEXT", "no table for context (<5001-digit integer>,B')")
+    model = socks_off()
+    scenario = Scenario(("A", huge), ("B", "B'"), (2, 2), (2, 2))
+    blocks = {**model.blocks, Context(1, 1): replace(model.blocks[Context(1, 1)], causes=())}
+    assert validate_model(ContextualModel(scenario, model.blocks)).scenario is scenario
+    with pytest.raises(ModelError) as exc:
+        validate_model(ContextualModel(scenario, blocks))
+    assert str(exc.value) == "context (<5001-digit integer>,B'): empty cause set"
+
+
+@pytest.mark.parametrize("name, shown", [(["x"], "['x']"), ({}, "{}")], ids=repr)
+def test_builtin_document_with_an_unhashable_name(name, shown):
+    with pytest.raises(UnknownBuiltinError) as exc:
+        builtin_document(name)
+    assert str(exc.value) == f"no builtin named {shown}; available: {', '.join(BUILTIN_NAMES)}"

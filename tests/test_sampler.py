@@ -607,3 +607,27 @@ class TestSamplerReadsTheTerms:
         assert run_experiment(model, plan) == run_experiment(model, plan)
         sample_trial(model, Context(1, 1), 9, 3)
         assert validated == [model, model, model]
+
+
+def test_merge_of_runs_with_different_fixed_schedules():
+    """Runs fixed on different contexts share no context, so each merged context is held by
+    one side alone; the merge equals the counts tallied trial by trial."""
+    model = socks_off()
+    parts = [(Context(0, 0), 300), (Context(1, 1), 200), (Context(1, 1), 100), (Context(0, 1), 50)]
+    runs = [run_experiment(model, ExperimentPlan(5 + k, n, Schedule.fixed(ctx))) for k, (ctx, n) in enumerate(parts)]
+    counts: dict = {}
+    for k, (ctx, n) in enumerate(parts):
+        grid = counts.setdefault(ctx, [[0, 0], [0, 0]])
+        for i in range(n):
+            record = sample_trial(model, ctx, i, 5 + k)
+            grid[record.alice_outcome - 1][record.bob_outcome - 1] += 1
+    serial = EmpiricalBehavior(model.scenario, {ctx: tuple(map(tuple, grid)) for ctx, grid in counts.items()})
+    merged = runs[0].empirical
+    for run in runs[1:]:
+        merged = merged.merge(run.empirical)
+    assert merged == serial
+    assert merged.sampled_contexts() == (Context(0, 0), Context(0, 1), Context(1, 1))
+    assert runs[1].empirical.merge(runs[0].empirical) == runs[0].empirical.merge(runs[1].empirical)
+    empty = EmpiricalBehavior(model.scenario, {})
+    assert empty.merge(runs[0].empirical) == runs[0].empirical == runs[0].empirical.merge(empty)
+    assert merged.total(Context(1, 1)) == 300
